@@ -28,7 +28,6 @@ from .distillation import (
     DistillStep,
     FidelityDistribution,
     LeftoverPolicy,
-    MeasurementPolicy,
     distill_pair,
     ftmbl_distilled_avg_qfi,
     link_count_distribution,
@@ -52,9 +51,8 @@ from .oracle import (
 )
 from .partitions import (
     PartitionSearchResult,
-    SearchMethod,
+    best_group_sizes,
     enumerate_partitions,
-    heuristic_partition,
     optimal_partition,
     optimal_partition_mixed,
 )

@@ -27,7 +27,7 @@ from .errors import ConvergenceError, SizeLimitError
 from .latency import SourceLocation, TimingParams, latency_model
 from .measurements import LocalCfiInput, cfi_threshold, local_cfi, local_cfi_max
 from .oracle import PhaseVector
-from .partitions import heuristic_partition, optimal_partition, optimal_partition_mixed
+from .partitions import optimal_partition, optimal_partition_mixed
 from .protocols import (
     EstimateMethod,
     NetworkConfig,
@@ -227,13 +227,10 @@ def _cmd_partition(args) -> int:
         row = (len(fids), sensors, label, "mixed",
                _fmt_partition(res.best.group_sizes), res.qfi, res.candidates_evaluated)
         return _write_csv(args, {"fidelities": label}, header, [row])
-    if args.method == "heuristic":
-        res = heuristic_partition(args.m, args.f, sensors)
-    else:
-        res = optimal_partition(args.m, sensors, args.f)
-    row = (args.m, sensors, args.f, args.method,
+    res = optimal_partition(args.m, sensors, args.f)
+    row = (args.m, sensors, args.f, "uniform",
            _fmt_partition(res.best.group_sizes), res.qfi, res.candidates_evaluated)
-    params = {"m": args.m, "s": sensors, "f": args.f, "method": args.method}
+    params = {"m": args.m, "s": sensors, "f": args.f}
     return _write_csv(args, params, header, [row])
 
 
@@ -577,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--m", type=int, default=0, help="successful link count")
     pt.add_argument("--f", type=float, default=1.0, help="uniform link fidelity")
     pt.add_argument("--s", type=int, default=None, help="sensor count (default m)")
-    pt.add_argument("--method", choices=("exhaustive", "heuristic"), default="exhaustive")
     pt.add_argument("--fidelities", help="comma list for the mixed-fidelity search")
     _add_common(pt)
     pt.set_defaults(func=_cmd_partition)

@@ -16,12 +16,11 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import _mc
-from .core import coefficient_c
 from .errors import SizeLimitError
 from .protocols import (
     AvgQfiEstimate,
@@ -33,7 +32,6 @@ from .protocols import (
 
 __all__ = [
     "LeftoverPolicy",
-    "MeasurementPolicy",
     "DistillMethod",
     "DistillStep",
     "FidelityDistribution",
@@ -58,13 +56,6 @@ class LeftoverPolicy(Enum):
 
     DISCARD = "discard"
     KEEP = "keep"
-
-
-class MeasurementPolicy(Enum):
-    """How distilled links are grouped; fidelity-aware grouping is left to
-    the mixed-fidelity partition search and is not wired in here."""
-
-    MAXIMAL_GHZ = "maximal_ghz"
 
 
 class DistillMethod(Enum):
@@ -204,35 +195,24 @@ def per_sensor_outcome_distribution(
     return FidelityDistribution.from_pairs(pairs)
 
 
-def _grouped_snapshot_qfi(fids: Sequence[float], sensors: int, gap2: float) -> float:
-    """Snapshot QFI with every usable link in one maximal GHZ group."""
-    usable = [f for f in fids if f > _USABLE_FIDELITY]
-    m = len(usable)
-    if m < 2:
-        return gap2 / sensors
-    xs = [(4.0 * f - 1.0) / 3.0 for f in usable]
-    c = coefficient_c(xs, m)
-    return gap2 * (sensors + c * m * m - m) / (sensors * sensors)
-
-
 def _enumerated_block_qfi(
     cfg: NetworkConfig, k: int, policy: LeftoverPolicy
 ) -> float:
     sensors = cfg.sensors
-    gap2 = cfg.eig.gap_squared
     dist = per_sensor_outcome_distribution(cfg.fidelity, cfg.link_prob, k, policy)
-    fids = dist.fidelities()
+    fids = np.array(dist.fidelities())
     probs = [p for _, p in dist.outcomes]
+    combos = list(combinations_with_replacement(range(len(fids)), sensors))
+    qfis = _vectorised_block_qfi(fids[np.array(combos)], sensors, cfg.eig.gap_squared)
     total = 0.0
-    for combo in combinations_with_replacement(range(len(fids)), sensors):
+    for combo, qfi in zip(combos, qfis.tolist()):
         counts = Counter(combo)
         weight = math.factorial(sensors)
         prob = 1.0
         for idx, c in counts.items():
             weight //= math.factorial(c)
             prob *= probs[idx] ** c
-        snapshot = [fids[idx] for idx in combo]
-        total += weight * prob * _grouped_snapshot_qfi(snapshot, sensors, gap2)
+        total += weight * prob * qfi
     return total
 
 
@@ -306,9 +286,8 @@ def ftmbl_distilled_avg_qfi(
     cfg: NetworkConfig,
     k: int,
     policy: LeftoverPolicy = LeftoverPolicy.DISCARD,
-    measurement: MeasurementPolicy = MeasurementPolicy.MAXIMAL_GHZ,
-    method: DistillMethod = DistillMethod.ENUMERATION,
     *,
+    method: DistillMethod = DistillMethod.ENUMERATION,
     trials: int = 1_000_000,
     seed: int | None = None,
     threads: int | None = None,
@@ -324,8 +303,6 @@ def ftmbl_distilled_avg_qfi(
     """
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
-    if measurement is not MeasurementPolicy.MAXIMAL_GHZ:
-        raise ValueError(f"unsupported measurement policy {measurement}")
     local = cfg.eig.gap_squared / cfg.sensors
     if method is DistillMethod.ENUMERATION:
         if cfg.sensors > MAX_ENUM_SENSORS or k > MAX_ENUM_BLOCK:

@@ -1,47 +1,43 @@
 """Choosing the GHZ grouping that maximises snapshot QFI.
 
 Given m successful links, the hub must decide how to partition them into
-GHZ groups (leaving the rest local).  This module provides the exhaustive
-search over integer partitions with parts >= 2, the cheaper near-uniform
-heuristic family, and an exhaustive set-partition search for links with
-unequal fidelities.
+GHZ groups (leaving the rest local).  The snapshot QFI is additive over
+groups, S + sum_g (C_g n_g^2 - n_g), so the best grouping is an exact
+dynamic-programming optimum: over integer partitions when every link has
+the same fidelity, and over subsets of links when fidelities differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, Sequence
 
-from .core import EigenSpec, GhzPartition, snapshot_qfi_uniform, snapshot_qfi_werner
+from .core import EigenSpec, GhzPartition, coefficient_c, snapshot_qfi_uniform, snapshot_qfi_werner
 from .errors import SizeLimitError
 
 __all__ = [
-    "SearchMethod",
     "PartitionSearchResult",
     "enumerate_partitions",
+    "best_group_sizes",
     "optimal_partition",
-    "heuristic_partition",
     "optimal_partition_mixed",
 ]
 
-# Exhaustive integer-partition search stays fast up to here; beyond it use
-# the heuristic.  The set-partition search is Bell-number bounded.
-MAX_EXHAUSTIVE_LINKS = 40
-MAX_MIXED_LINKS = 10
-
-
-class SearchMethod(Enum):
-    EXHAUSTIVE = "exhaustive"
-    HEURISTIC = "heuristic"
+# The subset DP takes O(3^m) steps; 12 links run in well under a second.
+MAX_MIXED_LINKS = 12
 
 
 @dataclass(frozen=True)
 class PartitionSearchResult:
+    """Winning grouping and its snapshot QFI.
+
+    ``candidates_evaluated`` counts DP transitions: m(m-1)/2 take-or-skip
+    steps for uniform fidelity, (3^m - 1)/2 block choices for mixed.
+    """
+
     best: GhzPartition
     qfi: float
     candidates_evaluated: int
-    method: SearchMethod
     # Link indices per group, canonically ordered; only set by the
     # mixed-fidelity search where the assignment matters.
     group_members: tuple[tuple[int, ...], ...] | None = None
@@ -67,30 +63,61 @@ def enumerate_partitions(m: int, *, total_sensors: int | None = None) -> list[Gh
     return [GhzPartition(s, total) for s in sizes]
 
 
-def _pick_best(
-    sizes_list: Sequence[tuple[int, ...]],
-    sensors: int,
-    fidelity: float,
-    eig: EigenSpec,
-    method: SearchMethod,
-) -> PartitionSearchResult:
-    best_sizes: tuple[int, ...] | None = None
-    best_key: tuple[float, int, tuple[int, ...]] | None = None
-    best_qfi = 0.0
-    for sizes in sizes_list:
-        part = GhzPartition(sizes, sensors)
-        qfi = snapshot_qfi_uniform(sensors, part, fidelity, eig)
-        # Ties: fewer groups first, then lexicographically largest sizes.
-        key = (qfi, -len(sizes), sizes)
-        if best_key is None or key > best_key:
-            best_key, best_sizes, best_qfi = key, sizes, qfi
-    assert best_sizes is not None
-    return PartitionSearchResult(
-        best=GhzPartition(best_sizes, sensors),
-        qfi=best_qfi,
-        candidates_evaluated=len(sizes_list),
-        method=method,
-    )
+def _check_fidelity(fidelity: float) -> None:
+    if not 0.0 <= fidelity <= 1.0:
+        raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
+
+
+def _check_sensors(links: int, sensors: int) -> None:
+    # sensors >= 1: the QFI of an average of no phases is undefined
+    if not (0 <= links <= sensors and sensors >= 1):
+        raise ValueError(f"need 0 <= m <= sensors, sensors >= 1; got m={links}, sensors={sensors}")
+
+
+def _group_gain(xs: Sequence[float]) -> float:
+    """A group's snapshot-QFI gain over local probes, C n^2 - n."""
+    n = len(xs)
+    return coefficient_c(xs, n) * n * n - n
+
+
+def best_group_sizes(max_links: int, fidelity: float) -> list[tuple[int, ...]]:
+    """Best group sizes for every link count 0..max_links, from one DP pass.
+
+    State (r, k) is the best grouping of at most r links into parts of at
+    most k: it either skips part size k, (r, k-1), or takes one group of k
+    on top of (r-k, k).  Groupings rank by summed gain, then fewer groups,
+    then lexicographically larger sizes; a grouping with a part k always
+    sorts above one whose parts are all below k, so on equal gain and group
+    count the DP takes k.  The sizes depend on neither the sensor count
+    nor the gap, which only shift and scale the snapshot QFI.
+    """
+    if max_links < 0:
+        raise ValueError(f"link count must be non-negative, got {max_links}")
+    _check_fidelity(fidelity)
+    x = (4.0 * fidelity - 1.0) / 3.0
+    gain = [0.0, 0.0] + [_group_gain([x] * n) for n in range(2, max_links + 1)]
+    # key[r][k] = (summed gain, -groups) of state (r, k), k <= r; parts < 2 form no group.
+    key = [[(0.0, 0)] * (r + 1) for r in range(max_links + 1)]
+    took = [[False] * (r + 1) for r in range(max_links + 1)]
+    for r in range(2, max_links + 1):
+        for k in range(2, r + 1):
+            rest_gain, rest_groups = key[r - k][min(k, r - k)]
+            take = (gain[k] + rest_gain, rest_groups - 1)
+            took[r][k] = take >= key[r][k - 1]
+            key[r][k] = take if took[r][k] else key[r][k - 1]
+    out = []
+    for m in range(max_links + 1):
+        sizes: list[int] = []
+        r = k = m
+        while k >= 2:
+            if took[r][k]:
+                sizes.append(k)
+                r -= k
+                k = min(k, r)
+            else:
+                k -= 1
+        out.append(tuple(sizes))
+    return out
 
 
 def optimal_partition(
@@ -99,70 +126,32 @@ def optimal_partition(
     fidelity: float,
     eig: EigenSpec = EigenSpec(),
 ) -> PartitionSearchResult:
-    """Exhaustive argmax of the snapshot QFI over all groupings of m links."""
-    if not 0 <= m <= sensors:
-        raise ValueError(f"need 0 <= m <= sensors, got m={m}, sensors={sensors}")
-    if m > MAX_EXHAUSTIVE_LINKS:
-        raise SizeLimitError(
-            f"exhaustive search is capped at m={MAX_EXHAUSTIVE_LINKS}; "
-            "use heuristic_partition beyond that"
-        )
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
-    sizes_list = [p.group_sizes for p in enumerate_partitions(m)]
-    return _pick_best(sizes_list, sensors, fidelity, eig, SearchMethod.EXHAUSTIVE)
+    """Argmax of the snapshot QFI over all groupings of at most m links.
 
-
-def _heuristic_family(m: int) -> list[tuple[int, ...]]:
-    """Near-uniform groupings: alpha copies of z plus beta copies of z - 1.
-
-    Augmented with the (3, ..., 3, 2) ladder relevant when m mod 3 == 2,
-    the lone pair (2), and the all-local option.
+    Exact for every m (see ``best_group_sizes``); ties go to fewer groups,
+    then to lexicographically larger sizes.
     """
-    sizes: set[tuple[int, ...]] = {(), (2,)}
-    reps = 1
-    while 3 * reps + 2 <= m:
-        sizes.add((3,) * reps + (2,))
-        reps += 1
-    for z in range(3, m + 1):
-        for alpha in range(1, m // z + 1):
-            used = alpha * z
-            for beta in range((m - used) // (z - 1) + 1):
-                sizes.add((z,) * alpha + (z - 1,) * beta)
-    return sorted(sizes, key=lambda s: (len(s), s))
+    _check_sensors(m, sensors)
+    best = GhzPartition(best_group_sizes(m, fidelity)[m], sensors)
+    return PartitionSearchResult(
+        best=best,
+        qfi=snapshot_qfi_uniform(sensors, best, fidelity, eig),
+        candidates_evaluated=m * (m - 1) // 2,
+    )
 
 
-def heuristic_partition(
-    m: int,
-    fidelity: float,
-    sensors: int | None = None,
-    eig: EigenSpec = EigenSpec(),
-) -> PartitionSearchResult:
-    """Best grouping within the near-uniform heuristic family.
+def _members(block: int) -> tuple[int, ...]:
+    return tuple(i for i in range(block.bit_length()) if block >> i & 1)
 
-    The winning sizes do not depend on the sensor count, which only
-    rescales the reported QFI; ``sensors`` defaults to m.
+
+def _tie_rank(groups: Sequence[tuple[int, ...]]) -> tuple:
+    """Canonical groups and the rank that orders equal-gain, equal-count ties.
+
+    Smaller ranks win: lexicographically larger sizes first, then the
+    lexicographically smallest canonical ``group_members``.
     """
-    if m < 2:
-        raise ValueError(f"heuristic search needs m >= 2, got {m}")
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
-    total = m if sensors is None else sensors
-    if total < m:
-        raise ValueError(f"sensors={total} cannot host m={m} links")
-    return _pick_best(_heuristic_family(m), total, fidelity, eig, SearchMethod.HEURISTIC)
-
-
-def _set_partitions(count: int) -> Iterator[list[list[int]]]:
-    """All set partitions of range(count), in a deterministic order."""
-    if count == 0:
-        yield []
-        return
-    first = count - 1
-    for blocks in _set_partitions(count - 1):
-        for i in range(len(blocks)):
-            yield blocks[:i] + [blocks[i] + [first]] + blocks[i + 1 :]
-        yield blocks + [[first]]
+    canonical = tuple(sorted(groups, key=lambda g: (-len(g), g)))
+    return tuple(-len(g) for g in canonical), canonical
 
 
 def optimal_partition_mixed(
@@ -170,46 +159,63 @@ def optimal_partition_mixed(
     sensors: int,
     eig: EigenSpec = EigenSpec(),
 ) -> PartitionSearchResult:
-    """Exhaustive search over set partitions of links with unequal fidelities.
+    """Best assignment of links with unequal fidelities to GHZ groups.
 
-    Singleton blocks drop their link (the sensor probes locally); larger
-    blocks become GHZ groups carrying their links' fidelities.  Bounded at
-    10 links by the Bell-number growth; beyond that fall back to Monte
-    Carlo or the uniform heuristic.
+    Links left out of every group are dropped (the sensor probes locally).
+    A subset DP over bitmasks of links: the best grouping of a link set
+    either drops its lowest link or puts it in a block with some of the
+    others, O(3^m) steps.  Block gains are scored from the block's sorted
+    fidelities and summed exactly, so groupings that only swap
+    equal-fidelity links tie exactly.  Ties go to fewer groups, then to
+    lexicographically larger sizes, then to the lexicographically smallest
+    canonical ``group_members`` (groups by size descending, then by index).
     """
     m = len(fidelities)
     if m > MAX_MIXED_LINKS:
         raise SizeLimitError(
-            f"set-partition search is capped at {MAX_MIXED_LINKS} links, got {m}; "
-            "use Monte Carlo or heuristic_partition instead"
+            f"the subset DP is capped at {MAX_MIXED_LINKS} links, got {m}; "
+            "use Monte Carlo instead"
         )
-    if m > sensors:
-        raise ValueError(f"sensors={sensors} cannot host {m} links")
+    _check_sensors(m, sensors)
     fids = [float(f) for f in fidelities]
     for f in fids:
-        if not 0.0 <= f <= 1.0:
-            raise ValueError(f"fidelity must be in [0, 1], got {f}")
+        _check_fidelity(f)
+    xs = [(4.0 * f - 1.0) / 3.0 for f in fids]
 
-    best_key: tuple[float, int, tuple[int, ...]] | None = None
-    best_qfi = 0.0
-    best_members: tuple[tuple[int, ...], ...] = ()
-    evaluated = 0
-    for blocks in _set_partitions(m):
-        groups = [sorted(b) for b in blocks if len(b) >= 2]
-        groups.sort(key=lambda b: (-len(b), b))
-        sizes = tuple(len(b) for b in groups)
-        part = GhzPartition(sizes, sensors)
-        qfi = snapshot_qfi_werner(sensors, part, [[fids[i] for i in b] for b in groups], eig)
-        evaluated += 1
-        key = (qfi, -len(sizes), sizes)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_qfi = qfi
-            best_members = tuple(tuple(b) for b in groups)
+    full = (1 << m) - 1
+    ratios = [
+        _group_gain(sorted(xs[i] for i in _members(b))).as_integer_ratio()
+        if b & (b - 1) else (0, 1)  # blocks of at least two links
+        for b in range(full + 1)
+    ]
+    # Float gains as integers over one power-of-two denominator: exact sums.
+    scale = max(den for _, den in ratios)
+    gains = [num * (scale // den) for num, den in ratios]
+
+    key = [(0, 0)] * (full + 1)  # (exact summed gain, -groups) per link set
+    ranked = [_tie_rank(())] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        best_key, best_rank = key[rest], ranked[rest]  # the lowest link dropped
+        sub = rest
+        while sub:
+            block = sub | low
+            other = mask ^ block
+            cand = (gains[block] + key[other][0], key[other][1] - 1)
+            if cand >= best_key:
+                rank = _tie_rank(ranked[other][1] + (_members(block),))
+                if cand > best_key or rank < best_rank:
+                    best_key, best_rank = cand, rank
+            sub = (sub - 1) & rest
+        key[mask], ranked[mask] = best_key, best_rank
+
+    members = ranked[full][1]
+    best = GhzPartition(tuple(len(g) for g in members), sensors)
+    qfi = snapshot_qfi_werner(sensors, best, [[fids[i] for i in g] for g in members], eig)
     return PartitionSearchResult(
-        best=GhzPartition(tuple(len(b) for b in best_members), sensors),
-        qfi=best_qfi,
-        candidates_evaluated=evaluated,
-        method=SearchMethod.EXHAUSTIVE,
-        group_members=best_members,
+        best=best,
+        qfi=qfi,
+        candidates_evaluated=(3**m - 1) // 2,
+        group_members=members,
     )

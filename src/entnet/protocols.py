@@ -19,7 +19,7 @@ import numpy as np
 from . import _mc
 from .core import EigenSpec, GhzPartition, snapshot_qfi_uniform
 from .errors import ConvergenceError
-from .partitions import optimal_partition
+from .partitions import best_group_sizes
 
 __all__ = [
     "PartitionPolicy",
@@ -46,7 +46,7 @@ class PartitionPolicy(Enum):
     """How the hub groups the m successful links of a snapshot."""
 
     MAXIMAL = "maximal"  # one m-GHZ group (none if m < 2)
-    OPTIMAL = "optimal"  # exhaustive argmax over groupings
+    OPTIMAL = "optimal"  # exact argmax over groupings
 
 
 class ProtocolKind(Enum):
@@ -176,16 +176,15 @@ def _qfi_by_link_count(
 ) -> np.ndarray:
     """Snapshot QFI as a function of the success count m, under a policy."""
     local = eig.gap_squared / sensors
+    if policy is PartitionPolicy.OPTIMAL:
+        best_sizes = best_group_sizes(sensors, fidelity)
     out = np.empty(sensors + 1)
     out[0] = local
     if sensors >= 1:
         out[1] = local  # a single link cannot form a group and is discarded
     for m in range(2, sensors + 1):
-        if policy is PartitionPolicy.MAXIMAL:
-            part = GhzPartition((m,), sensors)
-            out[m] = snapshot_qfi_uniform(sensors, part, fidelity, eig)
-        else:
-            out[m] = optimal_partition(m, sensors, fidelity, eig).qfi
+        sizes = (m,) if policy is PartitionPolicy.MAXIMAL else best_sizes[m]
+        out[m] = snapshot_qfi_uniform(sensors, GhzPartition(sizes, sensors), fidelity, eig)
     return out
 
 
@@ -223,22 +222,36 @@ def immediate_avg_qfi(
     return ftmbl_avg_qfi(cfg, 1, partition_policy)
 
 
-def ftmbl_k_opt(p: float, k_max: int = 200) -> int:
+def ftmbl_k_opt(p: float) -> int:
     """Best fixed block length for perfect links; depends only on p.
 
     Maximises (1 - (1-p)^k)^2 / k; ties resolve to the smaller k.  Block
-    lengths above 1 only ever win for p < 2 - sqrt(2).
+    lengths above 1 only ever win for p < 2 - sqrt(2).  The objective is
+    unimodal in k with its maximum below 1.26/p, so the answer is the first
+    k whose successor is no better, found by bisection on [1, ceil(2/p)].
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability must be in [0, 1], got {p}")
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    best_k, best_val = 1, -1.0
-    for k in range(1, k_max + 1):
-        val = (1.0 - (1.0 - p) ** k) ** 2 / k
-        if val > best_val:
-            best_k, best_val = k, val
-    return best_k
+    if p in (0.0, 1.0):
+        return 1  # every k ties at 0 for p = 0; the objective is 1/k for p = 1
+
+    log_q = math.log1p(-p)
+
+    def declines(k: int) -> bool:
+        # f(k+1) <= f(k) with a = 1 - q^k, rearranged so that no difference
+        # of nearly equal terms is formed: k p q^k (2a + p q^k) <= a^2
+        qk = math.exp(k * log_q)
+        a = -math.expm1(k * log_q)
+        return k * p * qk * (2.0 * a + p * qk) <= a * a
+
+    lo, hi = 1, math.ceil(2.0 / p)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if declines(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def vtmbl_joint_prob(sensors: int, p: float, mu: int, t: int, m: int) -> float:

@@ -83,6 +83,10 @@ class TestExitCodes:
         assert run_subcommand(["snapshot-qfi", "--s", "5", "--partition", "9"]) == 2
         capsys.readouterr()
 
+    def test_partition_without_sensors(self, capsys):
+        assert run_subcommand(["partition", "--m", "0", "--s", "0"]) == 2
+        capsys.readouterr()
+
     def test_mc_without_seed(self, capsys):
         code = run_subcommand(
             ["protocol-sweep", "--protocol", "immediate", "--method", "mc",

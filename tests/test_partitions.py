@@ -1,5 +1,6 @@
-"""Tests for the GHZ-grouping searches."""
+"""Tests for the GHZ-grouping optimisers."""
 
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -7,9 +8,8 @@ import pytest
 
 from entnet import (
     GhzPartition,
-    SearchMethod,
+    best_group_sizes,
     enumerate_partitions,
-    heuristic_partition,
     optimal_partition,
     optimal_partition_mixed,
     snapshot_qfi_uniform,
@@ -17,6 +17,7 @@ from entnet import (
     solve_threshold,
 )
 from entnet.errors import SizeLimitError
+from entnet.partitions import MAX_MIXED_LINKS
 
 
 @lru_cache(maxsize=None)
@@ -27,6 +28,46 @@ def count_partitions_min2(total: int, max_part: int) -> int:
     if total < 2 or max_part < 2:
         return 0
     return sum(count_partitions_min2(total - p, p) for p in range(2, min(total, max_part) + 1))
+
+
+def set_partitions(items):
+    """Brute-force walk over all set partitions of a list."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1 :]
+
+
+def brute_force_mixed(fids, sensors):
+    """Canonical group_members of the documented winner, by enumeration.
+
+    Values within 1e-12 of each other count as tied (equal-fidelity swaps
+    tie exactly in the DP); ties go to fewer groups, larger sizes, then the
+    lexicographically smallest canonical members.
+    """
+    scored = []
+    for blocks in set_partitions(list(range(len(fids)))):
+        groups = sorted((tuple(sorted(b)) for b in blocks if len(b) >= 2),
+                        key=lambda g: (-len(g), g))
+        part = GhzPartition(tuple(len(g) for g in groups), sensors)
+        qfi = snapshot_qfi_werner(sensors, part, [[fids[i] for i in g] for g in groups])
+        scored.append((qfi, tuple(groups)))
+    top = max(q for q, _ in scored)
+    tied = [g for q, g in scored if q >= top * (1 - 1e-12)]
+    return min(tied, key=lambda g: (len(g), tuple(-len(b) for b in g), g))
+
+
+def enumerated_best_sizes(max_m, sensors, fidelity):
+    """Argmax over enumerate_partitions for each m <= max_m, with the documented tie key."""
+    scored = [
+        (snapshot_qfi_uniform(sensors, p, fidelity), -p.num_groups, p.group_sizes)
+        for p in enumerate_partitions(max_m, total_sensors=sensors)
+    ]
+    return [max(key for key in scored if sum(key[2]) <= m)[2] for m in range(max_m + 1)]
 
 
 class TestEnumeratePartitions:
@@ -58,11 +99,18 @@ class TestOptimalPartition:
     def test_perfect_links_take_everything(self):
         res = optimal_partition(5, 5, 1.0)
         assert res.best.group_sizes == (5,)
-        assert res.method is SearchMethod.EXHAUSTIVE
 
     def test_table_rows_m10_m20(self):
         assert optimal_partition(10, 10, 0.9).best.group_sizes == (5, 5)
         assert optimal_partition(20, 20, 0.88).best.group_sizes == (4, 4, 4, 4, 4)
+
+    def test_published_cells(self):
+        assert optimal_partition(15, 15, 0.842).best.group_sizes == (3, 3, 3, 3, 3)
+        assert optimal_partition(10, 10, 0.86).best.group_sizes == (4, 3, 3)
+
+    def test_unit_fidelity_takes_everything(self):
+        for m in (2, 7, 19, 60):
+            assert optimal_partition(m, m, 1.0).best.group_sizes == (m,)
 
     def test_low_fidelity_goes_local(self):
         for m in (2, 5, 9):
@@ -72,7 +120,7 @@ class TestOptimalPartition:
     def test_result_qfi_matches_best(self):
         res = optimal_partition(6, 8, 0.9)
         assert res.qfi == snapshot_qfi_uniform(8, res.best, 0.9)
-        assert res.candidates_evaluated == len(enumerate_partitions(6))
+        assert res.candidates_evaluated == 6 * 5 // 2  # one DP transition per state (r, k)
 
     def test_monotone_qfi_in_m_at_unit_fidelity(self):
         values = [optimal_partition(m, 12, 1.0).qfi for m in range(13)]
@@ -85,9 +133,15 @@ class TestOptimalPartition:
             big = optimal_partition(7, 30, f).best.group_sizes
             assert small == big
 
-    def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            optimal_partition(41, 50, 0.9)
+    def test_no_size_cap(self):
+        res = optimal_partition(41, 50, 0.9)
+        assert res.best.group_sizes == best_group_sizes(41, 0.9)[41]
+        assert res.qfi == snapshot_qfi_uniform(50, res.best, 0.9)
+
+    def test_rejects_zero_sensors(self):
+        # the QFI of an average of no phases is undefined
+        with pytest.raises(ValueError):
+            optimal_partition(0, 0, 0.9)
 
     def test_group_count_conjecture(self):
         # optima use at most ceil(m/3) groups (checked, not assumed)
@@ -97,34 +151,36 @@ class TestOptimalPartition:
                 assert res.best.num_groups <= -(-m // 3)
 
 
-class TestHeuristicPartition:
-    def test_matches_exhaustive_on_grid(self):
-        # the restricted family attains the exhaustive optimum on the full grid
+FIDELITY_GRID = sorted({round(float(f), 3) for f in np.arange(0.80, 1.0001, 0.005)} | {0.842})
+
+
+class TestGroupingDp:
+    def test_matches_enumeration_on_grid(self):
         mismatches = []
-        for m in range(2, 21):
-            for f in np.arange(0.84, 1.0001, 0.02):
-                f = float(round(f, 2))
-                exh = optimal_partition(m, m, f)
-                heu = heuristic_partition(m, f)
-                if abs(exh.qfi - heu.qfi) > 1e-13:
-                    mismatches.append((m, f, exh.best.group_sizes, heu.best.group_sizes))
-        assert not mismatches, f"heuristic fell short on {mismatches}"
+        for f in FIDELITY_GRID:
+            dp = best_group_sizes(25, f)
+            for m, want in enumerate(enumerated_best_sizes(25, 25, f)):
+                if dp[m] != want or optimal_partition(m, 25, f).best.group_sizes != want:
+                    mismatches.append((m, f, dp[m], want))
+        assert not mismatches, f"DP disagrees with enumeration on {mismatches}"
 
-    def test_never_beats_exhaustive(self):
-        for m in (5, 9, 14):
-            for f in (0.85, 0.9, 0.97):
-                assert heuristic_partition(m, f).qfi <= optimal_partition(m, m, f).qfi + 1e-13
+    def test_near_uniform_groups(self):
+        # the paper's conjecture: optimal group sizes differ by at most one
+        for f in np.arange(0.80, 1.0001, 0.002):
+            for m, sizes in enumerate(best_group_sizes(60, float(min(f, 1.0)))):
+                assert not sizes or max(sizes) - min(sizes) <= 1, (m, f, sizes)
 
-    def test_published_cells(self):
-        assert heuristic_partition(15, 0.842).best.group_sizes == (3, 3, 3, 3, 3)
-        assert heuristic_partition(10, 0.86).best.group_sizes == (4, 3, 3)
+    def test_one_pass_serves_every_link_count(self):
+        table = best_group_sizes(12, 0.9)
+        assert len(table) == 13
+        for m, sizes in enumerate(table):
+            assert optimal_partition(m, 12, 0.9).best.group_sizes == sizes
 
-    def test_unit_fidelity_takes_everything(self):
-        for m in (2, 7, 19):
-            assert heuristic_partition(m, 1.0).best.group_sizes == (m,)
-
-    def test_method_tag(self):
-        assert heuristic_partition(6, 0.9).method is SearchMethod.HEURISTIC
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            best_group_sizes(-1, 0.9)
+        with pytest.raises(ValueError):
+            best_group_sizes(5, 1.1)
 
 
 class TestOptimalPartitionMixed:
@@ -157,9 +213,27 @@ class TestOptimalPartitionMixed:
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
-            optimal_partition_mixed([0.9] * 11, 11)
+            optimal_partition_mixed([0.9] * (MAX_MIXED_LINKS + 1), MAX_MIXED_LINKS + 1)
 
     def test_threshold_guides_grouping(self):
         f_lo = solve_threshold(2).f_thres - 0.02
         res = optimal_partition_mixed([f_lo, f_lo], 2)
         assert res.best.group_sizes == ()
+
+    def test_matches_brute_force(self):
+        rng = random.Random(2407)
+        draws = [[0.9] * 6, [0.95, 0.9] * 3, [0.99, 0.88, 0.88, 0.93, 0.93, 0.93, 0.99, 0.85]]
+        for _ in range(40):
+            links = rng.randint(2, 8)
+            pool = [round(rng.uniform(0.8, 1.0), 4) for _ in range(rng.randint(1, links))]
+            draws.append([rng.choice(pool) for _ in range(links)])
+        for fids in draws:
+            sensors = len(fids) + rng.randint(0, 3)
+            res = optimal_partition_mixed(fids, sensors)
+            assert res.group_members == brute_force_mixed(fids, sensors), fids
+            assert res.best.group_sizes == tuple(len(g) for g in res.group_members)
+            assert res.candidates_evaluated == (3 ** len(fids) - 1) // 2
+
+    def test_rejects_zero_sensors(self):
+        with pytest.raises(ValueError):
+            optimal_partition_mixed([], 0)

@@ -108,6 +108,29 @@ class TestFtmbl:
         assert ftmbl_k_opt(crossover + 1e-9) == 1
         assert ftmbl_k_opt(crossover - 1e-9) > 1
 
+    def test_k_opt_beyond_two_hundred(self):
+        assert ftmbl_k_opt(0.005) == 251
+        assert ftmbl_k_opt(0.002) == 628
+        # tiny p: the maximiser tends to t*/p with 2t* = e^t* - 1, t* = 1.25643
+        assert ftmbl_k_opt(1e-12) * 1e-12 == pytest.approx(1.25643, abs=1e-5)
+
+    def test_k_opt_matches_brute_force_scan(self):
+        def objective(p, k):
+            return (1.0 - (1.0 - p) ** k) ** 2 / k
+
+        for p in np.concatenate([np.geomspace(1e-3, 1.0, 41), [0.0, 2 - math.sqrt(2)]]):
+            p = float(p)
+            ks = range(1, math.ceil(3.0 / p) + 1) if p else range(1, 10)
+            best = max(ks, key=lambda k: (objective(p, k), -k))
+            assert ftmbl_k_opt(p) == best, p
+
+    def test_optimal_policy_at_sixty_sensors(self):
+        for f in (0.86, 0.93):
+            cfg = NetworkConfig(60, 0.3, f)
+            optimal = ftmbl_avg_qfi(cfg, 2, PartitionPolicy.OPTIMAL).mean
+            maximal = ftmbl_avg_qfi(cfg, 2, PartitionPolicy.MAXIMAL).mean
+            assert maximal <= optimal <= qfi_upper_bound(60, 0.3)
+
     def test_k_opt_is_sensor_independent(self):
         # the analytic argmax objective has no sensor count in it; check the
         # averages themselves rank k the same way for two network sizes
