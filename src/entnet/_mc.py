@@ -5,7 +5,9 @@ stream keyed by (seed, i), with a per-instance stream id in the counter
 block so different simulated instances never share randomness.  Chunk
 layout depends only on the trial count, and chunk sums are combined in
 index order with exact summation, so results are identical under any
-thread count.
+thread count.  The variance pools per-chunk sums of squared deviations
+with the Chan-Golub-LeVeque update, also in index order, so a low- or
+zero-variance estimate does not lose its digits to cancellation.
 """
 
 from __future__ import annotations
@@ -41,22 +43,47 @@ def chunk_sizes(trials: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
+def chunk_moments(values: np.ndarray) -> tuple[int, float, float, float]:
+    """(count, sum, mean, M2) of one chunk's per-trial values.
+
+    ``sum`` is numpy's pairwise sum, which the pooled mean reads.  Mean and
+    M2 (the pairwise sum of squared deviations) are taken relative to the
+    first value, so a constant chunk has exactly that mean and M2 = 0.
+    Works in place, without allocating: ``values`` is overwritten.
+    """
+    size = values.size
+    total = float(values.sum())
+    first = float(values[0])
+    values -= first
+    offset = float(values.sum()) / size
+    values -= offset
+    np.square(values, out=values)
+    return size, total, first + offset, float(values.sum())
+
+
 def run_chunked_trials(
-    run_chunk: Callable[[int, int], tuple[float, float]],
+    run_chunk: Callable[[int, int], np.ndarray],
     trials: int,
     workers: int,
 ) -> tuple[float, float]:
-    """Map ``run_chunk(index, size) -> (sum, sumsq)``; pool mean and std error."""
+    """Map ``run_chunk(index, size) -> per-trial values``; pool mean and std error."""
     sizes = chunk_sizes(trials)
+
+    def moments(index: int, size: int) -> tuple[int, float, float, float]:
+        return chunk_moments(run_chunk(index, size))
+
     if workers == 1 or len(sizes) == 1:
-        results = [run_chunk(i, size) for i, size in enumerate(sizes)]
+        results = [moments(i, size) for i, size in enumerate(sizes)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, range(len(sizes)), sizes))
-    mean = math.fsum(r[0] for r in results) / trials
-    if trials > 1:
-        ss = math.fsum(r[1] for r in results) - trials * mean * mean
-        variance = max(ss, 0.0) / (trials - 1)
-    else:
-        variance = 0.0
+            results = list(pool.map(moments, range(len(sizes)), sizes))
+    mean = math.fsum(r[1] for r in results) / trials
+    count, _, run_mean, m2 = results[0]
+    for size, _, chunk_mean, chunk_m2 in results[1:]:
+        total = count + size
+        delta = chunk_mean - run_mean
+        run_mean += delta * size / total
+        m2 += chunk_m2 + delta * delta * count * size / total
+        count = total
+    variance = m2 / (trials - 1) if trials > 1 else 0.0
     return mean, math.sqrt(variance / trials)

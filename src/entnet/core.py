@@ -135,10 +135,6 @@ class GhzPartition:
             acc += n
         return tuple(out)
 
-    def resize(self, total_sensors: int) -> "GhzPartition":
-        """Same group sizes embedded in a network of ``total_sensors``."""
-        return GhzPartition(self.group_sizes, total_sensors)
-
 
 @dataclass(frozen=True)
 class GhzDiagonalCoeffs:

@@ -252,7 +252,7 @@ def simulate_distilled_block_protocol(
         tables.append((np.cumsum(probs), np.array(dist.fidelities())))
     stream = _mc.instance_stream("distilled", sensors, p, cfg.fidelity, k, leftover.value)
 
-    def run_chunk(index: int, size: int) -> tuple[float, float]:
+    def run_chunk(index: int, size: int) -> np.ndarray:
         gen = _mc.chunk_generator(seed, index, stream)
         link_counts = gen.binomial(k, p, size=(size, sensors))
         uniforms = gen.random((size, sensors))
@@ -267,7 +267,7 @@ def simulate_distilled_block_protocol(
             )
             fids[sel] = vals[picks]
         values = ((k - 1) * local + _vectorised_block_qfi(fids, sensors, gap2)) / k
-        return float(values.sum()), float(values @ values)
+        return values
 
     return _mc.run_chunked_trials(run_chunk, trials, resolve_threads(threads))
 

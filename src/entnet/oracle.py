@@ -6,6 +6,13 @@ SLD operators and the Fisher information of explicit POVMs.  Everything
 here is a pure function of its inputs and is meant as a test oracle, not
 a production simulator; the qubit count is capped at 12.
 
+The probes are real and rank-deficient, so the QFI matrix runs ``eigh`` in
+real arithmetic whenever a matrix has no imaginary part and keeps only the
+eigenvectors in the probe's support (Liu et al., J. Phys. A 53, 023001
+(2020)).  POVM outcome probabilities and their derivatives come from one
+contraction of the stacked elements with the state and its exact
+derivative along a common phase shift; nothing is differenced.
+
 Qubit convention: qubit 0 is the leftmost tensor factor (most significant
 bit of the computational-basis index).
 """
@@ -42,7 +49,19 @@ _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_TOL = 1e-12
 _DEGENERACY_TOL = 1e-14
-_FD_STEP = 1e-5
+_POVM_TOL = 1e-10
+
+
+def _real_if_exact(mat: np.ndarray) -> np.ndarray:
+    """The real part of a complex array whose imaginary part is exactly zero.
+
+    Real arithmetic halves the memory traffic of ``eigh``/``eigvalsh`` and
+    needs about a quarter of the flops; any nonzero imaginary entry keeps
+    the complex array, so nothing is dropped.
+    """
+    if np.iscomplexobj(mat) and not mat.imag.any():
+        return np.ascontiguousarray(mat.real)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -52,20 +71,21 @@ class DenseState:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.ascontiguousarray(np.asarray(self.matrix, dtype=complex))
-        object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        dim = mat.shape[0]
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {shape}")
+        dim = shape[0]
         if dim & (dim - 1) or dim < 2:
             raise ValueError(f"dimension must be a power of two, got {dim}")
         if dim > 2**MAX_QUBITS:
             raise SizeLimitError(f"dense engine is capped at {MAX_QUBITS} qubits")
+        mat = np.ascontiguousarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", mat)
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > _TRACE_TOL or abs(np.trace(mat).imag) > _TRACE_TOL:
             raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(mat).min() < -_EIGENVALUE_TOL:
+        if np.linalg.eigvalsh(_real_if_exact(mat)).min() < -_EIGENVALUE_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
 
     @property
@@ -210,43 +230,52 @@ def apply_phases(
     return DenseState((diag[:, None] * state.matrix) * diag.conj()[None, :])
 
 
-def _generator_diagonals(sensors: int, eig: EigenSpec) -> np.ndarray:
-    """Row s holds the diagonal of the local generator acting on qubit s."""
-    dim = 2**sensors
-    idx = np.arange(dim)
-    out = np.empty((sensors, dim))
-    for s in range(sensors):
-        bit = (idx >> (sensors - 1 - s)) & 1
-        out[s] = np.where(bit == 0, eig.lambda0, eig.lambda1)
-    return out
+def _spins(sensors: int) -> np.ndarray:
+    """Row s holds the Z eigenvalue of qubit s on every basis state.
+
+    +1 for |0>, -1 for |1>; the local generator is -(gap/2) times a row,
+    and the column sums z = S - 2 popcount give a common phase shift.
+    """
+    idx = np.arange(2**sensors)
+    shifts = np.arange(sensors - 1, -1, -1)
+    return 1.0 - 2.0 * ((idx[None, :] >> shifts[:, None]) & 1)
 
 
 def qfim(probe: DenseState, phis: PhaseVector, eig: EigenSpec = EigenSpec()) -> np.ndarray:
     """QFI matrix of the phase-imprinted probe, one row/column per sensor.
 
     Uses the eigendecomposition formula with weights
-    4 E_g ((E_g' - E_g) / (E_g' + E_g))^2; pairs whose eigenvalue sum falls
-    below 1e-14 contribute nothing.  Because the local generators commute
-    with the imprinting unitary the result is independent of the phases.
+    4 E_g ((E_g' - E_g) / (E_g' + E_g))^2 on the ordered pair (g', g);
+    pairs whose eigenvalue sum falls below 1e-14 contribute nothing.
+    Because the local generators commute with the imprinting unitary the
+    result is independent of the phases.
+
+    Only columns g in the support (E_g above the same 1e-14) are kept.
+    The weight vanishes on the diagonal, so h_s may be taken as -(gap/2) Z,
+    of norm |gap|/2; with non-negative eigenvalues the weight is at most
+    4 E_g, so by Cauchy-Schwarz a dropped column moves any entry by at most
+    gap^2 E_g, and the whole cut by at most gap^2 times the sum of the
+    dropped eigenvalues (1e-14 gap^2 per dropped column).  With
+    N_s = sqrt(weight) * <g'|h_s|g>, the matrix is Re(N N^H).
     """
     sensors = probe.num_qubits
     if len(phis) != sensors:
         raise ValueError("phase vector length must match the qubit count")
-    evals, evecs = np.linalg.eigh(probe.matrix)
-    gens = _generator_diagonals(sensors, eig)
-    esum = evals[:, None] + evals[None, :]
-    ediff = evals[:, None] - evals[None, :]
+    dim = probe.dim
+    evals, evecs = np.linalg.eigh(_real_if_exact(probe.matrix))
+    support = evals > _DEGENERACY_TOL
+    e_supp = evals[support]
+    gens = (-0.5 * eig.delta_lambda) * _spins(sensors)
+    # one GEMM for every sensor: mats[g', s, g] = <g'| h_s |g>, g in the support
+    scaled = gens.T[:, :, None] * evecs[:, support][:, None, :]
+    mats = (evecs.conj().T @ scaled.reshape(dim, -1)).reshape(dim, sensors, -1)
+    esum = evals[:, None] + e_supp[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(esum > _DEGENERACY_TOL, ediff / esum, 0.0)
-    # weight[gp, g] = 4 E_g ((E_gp - E_g)/(E_gp + E_g))^2
-    weight = 4.0 * evals[None, :] * ratio**2
-    mats = [evecs.conj().T @ (gens[s][:, None] * evecs) for s in range(sensors)]
-    out = np.empty((sensors, sensors))
-    for a in range(sensors):
-        for b in range(a, sensors):
-            val = np.sum(weight * mats[a] * mats[b].conj()).real
-            out[a, b] = out[b, a] = val
-    return out
+        ratio = np.where(esum > _DEGENERACY_TOL, (evals[:, None] - e_supp[None, :]) / esum, 0.0)
+    root_weight = 2.0 * np.sqrt(e_supp)[None, :] * np.abs(ratio)
+    rows = (mats * root_weight[:, None, :]).transpose(1, 0, 2).reshape(sensors, -1)
+    out = (rows @ rows.conj().T).real
+    return 0.5 * (out + out.T)
 
 
 def qfi_theta(qfi_matrix: np.ndarray) -> float:
@@ -272,7 +301,7 @@ def sld_operator(
         raise ValueError("phase vector length must match the qubit count")
     evolved = apply_phases(probe, phis, eig)
     evals, evecs = np.linalg.eigh(evolved.matrix)
-    hbar = _generator_diagonals(sensors, eig).mean(axis=0)
+    hbar = (-0.5 * eig.delta_lambda) * _spins(sensors).mean(axis=0)
     hmat = evecs.conj().T @ (hbar[:, None] * evecs)
     esum = evals[:, None] + evals[None, :]
     ediff = evals[None, :] - evals[:, None]  # E_g' - E_g for entry [g, g']
@@ -281,20 +310,19 @@ def sld_operator(
     return evecs @ (coeff * hmat) @ evecs.conj().T
 
 
-def _validate_povm(povm: Sequence[np.ndarray], dim: int) -> list[np.ndarray]:
-    elements = [np.asarray(m, dtype=complex) for m in povm]
-    if not elements:
+def _validate_povm(povm: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """Stack a POVM as a (K, d, d) array and check it; real when exactly real."""
+    if len(povm) == 0:
         raise ValueError("POVM must have at least one element")
-    total = np.zeros((dim, dim), dtype=complex)
-    for elem in elements:
-        if elem.shape != (dim, dim):
-            raise ValueError(f"POVM element has shape {elem.shape}, expected {(dim, dim)}")
-        if np.max(np.abs(elem - elem.conj().T)) > 1e-10:
-            raise ValueError("POVM element is not Hermitian")
-        if np.linalg.eigvalsh(elem).min() < -1e-10:
-            raise ValueError("POVM element is not positive semidefinite")
-        total += elem
-    if np.max(np.abs(total - np.eye(dim))) > 1e-10:
+    for shape in {np.shape(elem) for elem in povm}:
+        if shape != (dim, dim):
+            raise ValueError(f"POVM element has shape {shape}, expected {(dim, dim)}")
+    elements = _real_if_exact(np.ascontiguousarray(povm, dtype=complex))
+    if np.max(np.abs(elements - elements.conj().transpose(0, 2, 1))) > _POVM_TOL:
+        raise ValueError("POVM element is not Hermitian")
+    if np.linalg.eigvalsh(elements).min() < -_POVM_TOL:
+        raise ValueError("POVM element is not positive semidefinite")
+    if np.max(np.abs(elements.sum(axis=0) - np.eye(dim))) > _POVM_TOL:
         raise ValueError("POVM elements do not sum to the identity")
     return elements
 
@@ -307,28 +335,29 @@ def measurement_cfi(
 ) -> float:
     """Classical Fisher information of a POVM's outcomes w.r.t. the mean phase.
 
-    The derivative is taken by central finite differences (step 1e-5) along
-    a common shift of every phase, scaled by 1/S to match the mean-phase
-    convention.  When any outcome probability falls below 1e-9 a Richardson
-    step-halving pass refines the derivative; outcomes below 1e-12 are
-    excluded from the quotient.
+    The derivative is exact: shifting every phase by s multiplies rho_ab by
+    exp(i (gap/2) s (z_a - z_b)) with z = S - 2 popcount, so
+    d rho/ds = i (gap/2) (z_a - z_b) rho_ab.  It is scaled by 1/S to match
+    the mean-phase convention.  Probabilities and slopes come from one
+    contraction of the stacked elements with rho and d rho/ds, O(K d^2);
+    outcomes with probability at most 1e-12 are excluded from the quotient.
     """
     sensors = probe.num_qubits
     if len(phis) != sensors:
         raise ValueError("phase vector length must match the qubit count")
     elements = _validate_povm(povm, probe.dim)
-
-    def outcome_probs(shift: float) -> np.ndarray:
-        shifted = PhaseVector(tuple(p + shift for p in phis.phis))
-        rho = apply_phases(probe, shifted, eig).matrix
-        return np.array([np.trace(elem @ rho).real for elem in elements])
-
-    p0 = outcome_probs(0.0)
-    d_full = (outcome_probs(_FD_STEP) - outcome_probs(-_FD_STEP)) / (2.0 * _FD_STEP)
-    if np.any((p0 > 0.0) & (p0 < 1e-9)):
-        half = _FD_STEP / 2.0
-        d_half = (outcome_probs(half) - outcome_probs(-half)) / (2.0 * half)
-        d_full = (4.0 * d_half - d_full) / 3.0
-    keep = p0 > 1e-12
-    dtheta = d_full[keep] / sensors
-    return float(np.sum(dtheta * dtheta / p0[keep]))
+    rho = apply_phases(probe, phis, eig).matrix
+    z = _spins(sensors).sum(axis=0)
+    drho = (0.5j * eig.delta_lambda) * (z[:, None] - z[None, :]) * rho
+    # tr(E X) = sum_ab E_ab conj(X_ab) for Hermitian X; its real part is the
+    # dot product of the (re, im) pairs, which keeps the GEMM real.
+    states = np.stack([rho, drho]).reshape(2, -1)
+    flat = elements.reshape(len(elements), -1)
+    if np.iscomplexobj(flat):
+        flat, states = flat.view(float), states.view(float)
+    else:
+        states = np.ascontiguousarray(states.real)
+    probs, slopes = (flat @ states.T).T
+    keep = probs > 1e-12
+    dtheta = slopes[keep] / sensors
+    return float(np.sum(dtheta * dtheta / probs[keep]))

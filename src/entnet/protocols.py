@@ -421,13 +421,13 @@ def _mc_block_protocol(
     local = cfg.eig.gap_squared / sensors
     stream = _mc.instance_stream("block", sensors, p, cfg.fidelity, k)
 
-    def run_chunk(index: int, size: int) -> tuple[float, float]:
+    def run_chunk(index: int, size: int) -> np.ndarray:
         gen = _mc.chunk_generator(seed, index, stream)
         linked = np.zeros((size, sensors), dtype=bool)
         for _slot in range(k):
             linked |= gen.random((size, sensors)) < p
         values = ((k - 1) * local + qfi_by_m[linked.sum(axis=1)]) / k
-        return float(values.sum()), float(values @ values)
+        return values
 
     return _mc.run_chunked_trials(run_chunk, trials, resolve_threads(threads))
 
@@ -446,7 +446,7 @@ def _mc_waiting_protocol(
     local = cfg.eig.gap_squared / sensors
     stream = _mc.instance_stream("waiting", sensors, p, cfg.fidelity, mu)
 
-    def run_chunk(index: int, size: int) -> tuple[float, float]:
+    def run_chunk(index: int, size: int) -> np.ndarray:
         gen = _mc.chunk_generator(seed, index, stream)
         linked = np.zeros((size, sensors), dtype=bool)
         stop_t = np.zeros(size, dtype=np.int64)
@@ -467,7 +467,7 @@ def _mc_waiting_protocol(
             stop_m[stopped] = counts[done]
             active = active[~done]
         values = ((stop_t - 1) * local + qfi_by_m[stop_m]) / stop_t
-        return float(values.sum()), float(values @ values)
+        return values
 
     return _mc.run_chunked_trials(run_chunk, trials, resolve_threads(threads))
 
@@ -486,13 +486,20 @@ def monte_carlo_avg_qfi(
     Each trial covers one sensing block (k slots, or the random wait for
     mu links) and contributes the block's per-slot QFI average, matching
     the analytic definitions.  Results are deterministic for a fixed
-    (seed, trials) pair whatever the thread count.
+    (seed, trials) pair whatever the thread count.  Distilled blocks are
+    simulated with MAXIMAL grouping only; any other policy raises
+    ``ValueError``.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if not 0 <= seed <= _mc.UINT64_MASK:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if spec.distill_policy is not DistillPolicy.NONE:
+        if partition_policy is not PartitionPolicy.MAXIMAL:
+            raise ValueError(
+                "distilled Monte Carlo groups every linked sensor; "
+                f"{partition_policy.name} grouping with distillation is not defined"
+            )
         from .distillation import simulate_distilled_block_protocol
 
         mean, err = simulate_distilled_block_protocol(

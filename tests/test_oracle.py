@@ -19,9 +19,12 @@ from entnet import (
     ghz_project,
     measurement_cfi,
     qfi_theta,
+    local_cfi,
+    LocalCfiInput,
     qfim,
     snapshot_qfi_werner,
     sld_operator,
+    sld_povm,
 )
 from entnet.errors import SizeLimitError
 
@@ -43,6 +46,27 @@ def plus_povm(sensors):
             v = np.kron(v, minus if b else plus)
         elems.append(np.outer(v, v).astype(complex))
     return elems
+
+
+def reference_qfim(probe, eig=EigenSpec()):
+    """Full-eigenbasis pair loop over every column, in complex arithmetic."""
+    sensors = probe.num_qubits
+    evals, evecs = np.linalg.eigh(probe.matrix.astype(complex))
+    idx = np.arange(probe.dim)
+    esum = evals[:, None] + evals[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(esum > 1e-14, (evals[:, None] - evals[None, :]) / esum, 0.0)
+    weight = 4.0 * evals[None, :] * ratio**2
+    mats = []
+    for s in range(sensors):
+        bit = (idx >> (sensors - 1 - s)) & 1
+        gen = np.where(bit == 0, eig.lambda0, eig.lambda1)
+        mats.append(evecs.conj().T @ (gen[:, None] * evecs))
+    out = np.empty((sensors, sensors))
+    for a in range(sensors):
+        for b in range(sensors):
+            out[a, b] = np.sum(weight * mats[a] * mats[b].conj()).real
+    return out
 
 
 def mean_generator(sensors, eig=EigenSpec()):
@@ -82,6 +106,13 @@ class TestDenseState:
     def test_qubit_cap(self):
         with pytest.raises(SizeLimitError):
             DenseState(np.eye(2**13) / 2**13)
+
+    def test_rejects_complex_negative_eigenvalue(self):
+        with pytest.raises(ValueError):
+            DenseState(np.array([[0.5, 0.8j], [-0.8j, 0.5]]))
+
+    def test_keeps_complex_dtype_for_real_input(self):
+        assert DenseState(np.eye(2) / 2).matrix.dtype == complex
 
 
 class TestBuildWerner:
@@ -248,6 +279,36 @@ class TestQfim:
         b = qfim(probe, PhaseVector((0.2, -1.0, 0.5)))
         np.testing.assert_allclose(a, b, atol=1e-11)
 
+    def test_complex_probe_matches_real_probe(self):
+        sensors = 5
+        probe = build_probe(sensors, GhzPartition((3, 2), sensors),
+                            [[0.9, 0.8, 0.95], [0.85, 0.9]])
+        phis = PhaseVector((0.4, -1.2, 0.7, 2.1, -0.3))
+        evolved = apply_phases(probe, phis)
+        assert np.abs(evolved.matrix.imag).max() > 0.1
+        np.testing.assert_allclose(qfim(evolved, phis), qfim(probe, phis), rtol=0, atol=1e-13)
+
+    def test_rank_deficient_probe_with_locals(self):
+        sensors = 6
+        part = GhzPartition((3, 2), sensors)
+        fids = [[1.0, 0.9, 0.95], [0.85, 1.0]]
+        probe = build_probe(sensors, part, fids)
+        rank = int(np.sum(np.linalg.eigvalsh(probe.matrix) > 1e-14))
+        assert rank <= probe.dim // 2
+        mat = qfim(probe, PhaseVector.zeros(sensors))
+        assert qfi_theta(mat) == pytest.approx(
+            snapshot_qfi_werner(sensors, part, fids), abs=1e-12)
+        np.testing.assert_allclose(mat, reference_qfim(probe), rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(mat, mat.T)
+
+    def test_matches_full_eigenbasis_reference(self):
+        eig = EigenSpec(0.3, -1.4)
+        for sensors, sizes, fids in [(4, (2, 2), [[0.9, 0.7], [0.8, 0.95]]),
+                                     (5, (5,), [[0.8, 0.9, 0.85, 0.95, 0.75]])]:
+            probe = build_probe(sensors, GhzPartition(sizes, sensors), fids)
+            got = qfim(probe, PhaseVector.zeros(sensors), eig)
+            np.testing.assert_allclose(got, reference_qfim(probe, eig), rtol=0, atol=1e-13)
+
 
 class TestQfiTheta:
     def test_identity_matrix(self):
@@ -313,6 +374,42 @@ class TestMeasurementCfi:
         probe = build_probe(2, GhzPartition((), 2), [])
         with pytest.raises(ValueError):
             measurement_cfi(probe, PhaseVector.zeros(2), [np.eye(4) * 0.5])
+
+    def test_complex_povm_validation_paths(self):
+        part = GhzPartition((2,), 2)
+        phis = PhaseVector((0.3, -0.8))
+        probe = build_probe(2, part, [[0.9, 0.85]])
+        povm = sld_povm(part, phis)
+        assert np.abs(np.imag(povm)).max() > 0.1
+        assert measurement_cfi(probe, phis, povm) > 0.0
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 3] = 1e-6j
+        bad = {
+            "at least one element": [],
+            "shape": [e[:2, :2] for e in povm],
+            "not Hermitian": [povm[0] + skew, povm[1] - skew, povm[2]],
+            "positive semidefinite": [povm[0] + 2 * povm[1], -povm[1], povm[2]],
+            "sum to the identity": povm[:2],
+        }
+        for message, elements in bad.items():
+            with pytest.raises(ValueError, match=message):
+                measurement_cfi(probe, phis, elements)
+
+    @pytest.mark.parametrize("sensors,sizes,fids,phases", [
+        (3, (2,), [[0.9, 0.8]], (0.3, -0.7, 1.1)),
+        (4, (2, 2), [[0.95, 0.85], [0.8, 0.9]], (0.4, 0.9, -1.3, 0.2)),
+        (5, (3, 2), [[0.9, 0.85, 0.95], [0.88, 0.92]], (0.5, -0.2, 0.8, 1.0, -0.6)),
+        (5, (4,), [[0.9] * 4], (0.7, 0.1, -0.4, 0.3, 0.9)),
+    ])
+    def test_exact_derivative_matches_closed_forms(self, sensors, sizes, fids, phases):
+        part = GhzPartition(sizes, sensors)
+        phis = PhaseVector(phases)
+        probe = build_probe(sensors, part, fids)
+        xs = tuple(tuple((4 * f - 1) / 3 for f in g) for g in fids)
+        local = local_cfi(LocalCfiInput(sensors, part, xs, phis))
+        assert measurement_cfi(probe, phis, plus_povm(sensors)) == pytest.approx(local, abs=1e-12)
+        qfi = snapshot_qfi_werner(sensors, part, fids)
+        assert measurement_cfi(probe, phis, sld_povm(part, phis)) == pytest.approx(qfi, abs=1e-12)
 
     def test_information_inequality(self):
         rng = np.random.default_rng(21)

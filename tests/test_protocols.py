@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entnet import (
+    DistillPolicy,
     EstimateMethod,
     NetworkConfig,
     PartitionPolicy,
@@ -265,6 +266,50 @@ class TestMonteCarlo:
         # every slot is exactly 1/S; the pooled mean may round by one ulp
         assert est.mean == pytest.approx(0.2, abs=1e-15)
         assert est.std_error == 0.0
+
+    def test_zero_variance_cell_has_zero_std_error(self):
+        # (1 - 0.001^3)^10 > 1 - 1e-8: every trial links all ten sensors
+        est = monte_carlo_avg_qfi(NetworkConfig(10, 0.999, 0.97), ProtocolSpec.fixed_tmbl(3),
+                                  trials=200_000, seed=1)
+        assert est.std_error == 0.0
+
+    def test_std_error_matches_two_pass_reference(self, monkeypatch):
+        from entnet import _mc
+
+        chunks = []
+        moments = _mc.chunk_moments
+
+        def spy(values):
+            chunks.append(values.copy())
+            return moments(values)
+
+        monkeypatch.setattr(_mc, "chunk_moments", spy)
+        # two distinct trial values; sum-of-squares pooling is wrong here
+        # from the 7th digit
+        est = monte_carlo_avg_qfi(NetworkConfig(10, 0.99, 0.97), ProtocolSpec.fixed_tmbl(3),
+                                  trials=200_000, seed=11, threads=1)
+        values = np.concatenate(chunks)
+        assert values.size == 200_000 and len(np.unique(values)) > 1
+        mean = math.fsum(values) / values.size
+        assert est.mean == pytest.approx(mean, rel=1e-15)
+        ss = math.fsum((v - mean) ** 2 for v in values)
+        reference = math.sqrt(ss / (values.size - 1) / values.size)
+        assert est.std_error == pytest.approx(reference, rel=1e-12)
+
+    def test_constant_chunk_moments_are_exact(self):
+        from entnet import _mc
+
+        values = np.full(1000, 0.1)
+        total = float(values.sum())
+        assert _mc.chunk_moments(values) == (1000, total, 0.1, 0.0)
+
+    def test_distillation_rejects_optimal_grouping(self):
+        spec = ProtocolSpec.fixed_tmbl(3, DistillPolicy.DISTILL_DISCARD)
+        cfg = NetworkConfig(5, 0.5, 0.9)
+        with pytest.raises(ValueError, match="OPTIMAL"):
+            monte_carlo_avg_qfi(cfg, spec, PartitionPolicy.OPTIMAL, trials=1000, seed=1)
+        est = monte_carlo_avg_qfi(cfg, spec, PartitionPolicy.MAXIMAL, trials=1000, seed=1)
+        assert est.trials == 1000
 
     def test_immediate_against_enumeration(self):
         cfg = NetworkConfig(5, 0.5)
