@@ -10,15 +10,9 @@ __version__ = "0.1.0"
 
 from .core import (
     EigenSpec,
-    GhzDiagonalCoeffs,
     GhzPartition,
-    WernerLink,
     coefficient_c,
-    coefficient_c_uniform,
     fidelity_from_werner,
-    ghz_coeffs_equal,
-    ghz_coeffs_mixed,
-    snapshot_qfi_pure,
     snapshot_qfi_uniform,
     snapshot_qfi_werner,
     werner_from_fidelity,
@@ -27,10 +21,8 @@ from .distillation import (
     DistillMethod,
     DistillStep,
     FidelityDistribution,
-    LeftoverPolicy,
     distill_pair,
     ftmbl_distilled_avg_qfi,
-    link_count_distribution,
     nested_distill,
     per_sensor_outcome_distribution,
 )
@@ -58,8 +50,8 @@ from .partitions import (
 )
 from .protocols import (
     AvgQfiEstimate,
-    DistillPolicy,
     EstimateMethod,
+    LeftoverPolicy,
     NetworkConfig,
     PartitionPolicy,
     ProtocolKind,

@@ -11,14 +11,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .core import GhzPartition, snapshot_qfi_uniform, snapshot_qfi_werner
+from .core import GhzPartition, snapshot_qfi_uniform, snapshot_qfi_werner, werner_from_fidelity
 from .distillation import (
-    LeftoverPolicy,
     ftmbl_distilled_avg_qfi,
     nested_distill,
     per_sensor_outcome_distribution,
@@ -30,6 +29,7 @@ from .oracle import PhaseVector
 from .partitions import optimal_partition, optimal_partition_mixed
 from .protocols import (
     EstimateMethod,
+    LeftoverPolicy,
     NetworkConfig,
     PartitionPolicy,
     ProtocolSpec,
@@ -41,7 +41,7 @@ from .protocols import (
     vtmbl_avg_qfi,
     vtmbl_mu_opt,
 )
-from .thresholds import solve_threshold
+from .thresholds import grouping_region_edges, solve_threshold
 
 REPRODUCE_IDS = (
     "fig2",
@@ -302,7 +302,7 @@ def _cmd_distill(args) -> int:
 def _cmd_measure_cfi(args) -> int:
     sizes = _parse_partition(args.partition)
     part = GhzPartition(sizes, args.s)
-    x = (4.0 * args.f - 1.0) / 3.0
+    x = werner_from_fidelity(args.f)
     groups = tuple(tuple([x] * n) for n in part.group_sizes)
     if args.max:
         value = local_cfi_max(args.s, part, groups)
@@ -423,7 +423,7 @@ def _repro_fig7a(args):
         part = GhzPartition(sizes, sensors)
         for f1000 in range(750, 1001, 2):
             f = f1000 / 1000.0
-            x = (4.0 * f - 1.0) / 3.0
+            x = werner_from_fidelity(f)
             groups = [[x] * n for n in sizes]
             qfi = snapshot_qfi_uniform(sensors, part, f)
             cfi = local_cfi_max(sensors, part, groups)
@@ -439,7 +439,7 @@ def _repro_fig7b(args):
         thresh = cfi_threshold(n)
         for f1000 in range(750, 1001, 2):
             f = f1000 / 1000.0
-            x = (4.0 * f - 1.0) / 3.0
+            x = werner_from_fidelity(f)
             qfi = snapshot_qfi_uniform(sensors, part, f)
             cfi = local_cfi_max(sensors, part, [[x] * n])
             rows.append((n, f, cfi, qfi, cfi / qfi, thresh))
@@ -465,35 +465,8 @@ def _repro_fig9(args):
     return {"s": sensors}, ("k", "p", "f", "policy", "avg_qfi"), rows
 
 
-def _table1_boundaries() -> list[float]:
-    """Fidelity region edges derived from the pairwise crossover equations."""
-
-    def contribution(f: float, n: int) -> float:
-        part = GhzPartition((n,), n)
-        return snapshot_qfi_uniform(n, part, f) * n * n - n
-
-    def crossover(diff: Callable[[float], float], lo: float, hi: float) -> float:
-        flo = diff(lo)
-        while hi - lo > 1e-13:
-            mid = 0.5 * (lo + hi)
-            if (diff(mid) < 0.0) == (flo < 0.0):
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    b1 = solve_threshold(3).f_thres
-    b2 = solve_threshold(2).f_thres
-    b3 = crossover(lambda f: contribution(f, 4) - contribution(f, 3), 0.84, 1.0)
-    b4 = crossover(
-        lambda f: contribution(f, 4) - (contribution(f, 3) + contribution(f, 2)), 0.84, 1.0
-    )
-    b5 = crossover(lambda f: contribution(f, 5) - contribution(f, 4), 0.84, 1.0)
-    return [0.80, b1, b2, b3, b4, b5, 1.0]
-
-
 def _repro_table1(args):
-    bounds = _table1_boundaries()
+    bounds = grouping_region_edges()
     rows = []
     for region in range(6):
         f = 0.5 * (bounds[region] + bounds[region + 1])
@@ -541,9 +514,12 @@ def _cmd_reproduce(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
-def _add_common(sub, seed_default=None):
+def _add_common(sub):
     sub.add_argument("--out", help="write CSV here instead of stdout")
     sub.add_argument("--config", help="key=value file; explicit flags override it")
+
+
+def _add_monte_carlo(sub, seed_default=None):
     sub.add_argument("--threads", type=int, default=None,
                      help="worker threads (default: ENTNET_THREADS or CPU count)")
     sub.add_argument("--seed", type=int, default=seed_default, help="Monte Carlo seed")
@@ -586,9 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--k", default="1", help="block length range (ftmbl)")
     ps.add_argument("--mu", default="2", help="waiting threshold range (vtmbl)")
     ps.add_argument("--policy", choices=("maximal", "optimal"), default="maximal")
-    ps.add_argument("--method", choices=("closed", "series", "mc"), default="closed")
+    ps.add_argument("--method", choices=("closed", "series", "mc"), default="series")
     ps.add_argument("--trials", type=int, default=1_000_000)
     _add_common(ps)
+    _add_monte_carlo(ps)
     ps.set_defaults(func=_cmd_protocol_sweep)
 
     di = subs.add_parser("distill", help="final-fidelity distribution after distillation")
@@ -622,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = subs.add_parser("reproduce", help="emit a reference figure/table data grid")
     rp.add_argument("id", choices=REPRODUCE_IDS)
-    _add_common(rp, seed_default=_DEFAULT_SEED)
+    _add_common(rp)
+    _add_monte_carlo(rp, seed_default=_DEFAULT_SEED)
     rp.set_defaults(func=_cmd_reproduce)
 
     return parser

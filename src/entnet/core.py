@@ -11,21 +11,15 @@ QFI matrix with the uniform weight vector (1/S, ..., 1/S).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
     "EigenSpec",
-    "WernerLink",
     "GhzPartition",
-    "GhzDiagonalCoeffs",
     "werner_from_fidelity",
     "fidelity_from_werner",
-    "ghz_coeffs_equal",
-    "ghz_coeffs_mixed",
     "coefficient_c",
-    "coefficient_c_uniform",
-    "snapshot_qfi_pure",
     "snapshot_qfi_werner",
     "snapshot_qfi_uniform",
 ]
@@ -62,22 +56,13 @@ class EigenSpec:
         return self.delta_lambda * self.delta_lambda
 
 
-@dataclass(frozen=True)
-class WernerLink:
-    """A sensor-hub link modelled as a Werner state of given fidelity."""
+def werner_from_fidelity(fidelity):
+    """Werner parameter x = (4F - 1)/3 of a link of fidelity F.
 
-    fidelity: float
-    werner_param: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fidelity <= 1.0:
-            raise ValueError(f"fidelity must be in [0, 1], got {self.fidelity}")
-        object.__setattr__(self, "werner_param", (4.0 * self.fidelity - 1.0) / 3.0)
-
-
-def werner_from_fidelity(fidelity: float) -> WernerLink:
-    """Build a Werner link, mapping fidelity F to parameter x = (4F - 1)/3."""
-    return WernerLink(fidelity)
+    Works elementwise on arrays.  Unchecked: callers validate fidelities
+    where they enter the program.
+    """
+    return (4.0 * fidelity - 1.0) / 3.0
 
 
 def fidelity_from_werner(x: float) -> float:
@@ -136,18 +121,6 @@ class GhzPartition:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class GhzDiagonalCoeffs:
-    """The two GHZ-basis weights that drive the QFI of a projected group.
-
-    ``e00`` weighs the GHZ projector itself and ``e10`` its Z-flipped
-    partner; all other GHZ-basis weights cancel pairwise in the QFI.
-    """
-
-    e00: float
-    e10: float
-
-
 def _validate_werner_params(xs: Sequence[float]) -> None:
     for x in xs:
         if not _X_MIN <= x <= 1.0:
@@ -171,26 +144,6 @@ def _product_identities(xs: Sequence[float]) -> tuple[float, float]:
     return diff, plus + minus
 
 
-def ghz_coeffs_equal(x: float, n: int) -> GhzDiagonalCoeffs:
-    """GHZ-basis weights for n links sharing one Werner parameter x."""
-    if n < 2:
-        raise ValueError(f"a GHZ group needs n >= 2, got {n}")
-    _validate_werner_params([x])
-    spread = ((1.0 + x) ** n + (1.0 - x) ** n) / 2.0**n
-    return GhzDiagonalCoeffs(0.5 * (x**n + spread), 0.5 * (-(x**n) + spread))
-
-
-def ghz_coeffs_mixed(xs: Sequence[float], n: int) -> GhzDiagonalCoeffs:
-    """GHZ-basis weights for n links with per-link Werner parameters."""
-    if n < 2:
-        raise ValueError(f"a GHZ group needs n >= 2, got {n}")
-    if len(xs) != n:
-        raise ValueError(f"expected {n} Werner parameters, got {len(xs)}")
-    _validate_werner_params(xs)
-    diff, total = _product_identities(xs)
-    return GhzDiagonalCoeffs(0.5 * (total + diff), 0.5 * (total - diff))
-
-
 def coefficient_c(xs: Sequence[float], n: int) -> float:
     """QFI prefactor of an n-link GHZ group, C = (e00 - e10)^2 / (e00 + e10).
 
@@ -209,34 +162,11 @@ def coefficient_c(xs: Sequence[float], n: int) -> float:
     return diff * diff / total
 
 
-def coefficient_c_uniform(x: float, n: int) -> float:
-    """Uniform-fidelity C coefficient, 2^n x^(2n) / ((1-x)^n + (1+x)^n)."""
-    if n < 2:
-        raise ValueError(f"a GHZ group needs n >= 2, got {n}")
-    _validate_werner_params([x])
-    return 2.0**n * x ** (2 * n) / ((1.0 - x) ** n + (1.0 + x) ** n)
-
-
 def _check_partition(sensors: int, partition: GhzPartition) -> None:
     if partition.total_sensors != sensors:
         raise ValueError(
             f"partition is sized for {partition.total_sensors} sensors, not {sensors}"
         )
-
-
-def snapshot_qfi_pure(
-    sensors: int, partition: GhzPartition, eig: EigenSpec = EigenSpec()
-) -> float:
-    """QFI of a snapshot probe built from perfect links.
-
-    Every group of size n contributes n^2 - n on top of the S baseline of
-    the all-local probe; the empty partition therefore gives gap^2 / S.
-    """
-    _check_partition(sensors, partition)
-    acc = float(sensors)
-    for n in partition.group_sizes:
-        acc += n * n - n
-    return eig.gap_squared * acc / (sensors * sensors)
 
 
 def snapshot_qfi_werner(
@@ -263,7 +193,7 @@ def snapshot_qfi_werner(
             if not 0.0 <= f <= 1.0:
                 raise ValueError(f"fidelity must be in [0, 1], got {f}")
         n = len(group)
-        xs = [(4.0 * f - 1.0) / 3.0 for f in group]
+        xs = [werner_from_fidelity(f) for f in group]
         acc += coefficient_c(xs, n) * n * n - n
     return eig.gap_squared * acc / (sensors * sensors)
 

@@ -21,23 +21,23 @@ from typing import Iterable
 import numpy as np
 
 from . import _mc
+from .core import werner_from_fidelity
 from .errors import SizeLimitError
 from .protocols import (
     AvgQfiEstimate,
-    DistillPolicy,
     EstimateMethod,
+    LeftoverPolicy,
     NetworkConfig,
     resolve_threads,
+    snapshot_distribution,
 )
 
 __all__ = [
-    "LeftoverPolicy",
     "DistillMethod",
     "DistillStep",
     "FidelityDistribution",
     "distill_pair",
     "nested_distill",
-    "link_count_distribution",
     "per_sensor_outcome_distribution",
     "ftmbl_distilled_avg_qfi",
     "simulate_distilled_block_protocol",
@@ -49,13 +49,6 @@ MAX_ENUM_BLOCK = 5
 
 # A final link at or below this fidelity is sensed around, not grouped.
 _USABLE_FIDELITY = 0.5
-
-
-class LeftoverPolicy(Enum):
-    """What to do with an unpaired odd link when every fusion failed."""
-
-    DISCARD = "discard"
-    KEEP = "keep"
 
 
 class DistillMethod(Enum):
@@ -140,8 +133,11 @@ def nested_distill(
     stops with one link, no links, or a fidelity at or below 1/2 (fusion
     no longer improves there).  Odd leftovers are dropped level by level
     under DISCARD; under KEEP the best leftover is delivered instead of
-    "no link" when every fusion failed.
+    "no link" when every fusion failed.  NONE is not a distillation and
+    raises ``ValueError``.
     """
+    if policy is LeftoverPolicy.NONE:
+        raise ValueError("no distillation behaviour for policy NONE")
     if links < 0:
         raise ValueError(f"link count must be non-negative, got {links}")
     if not 0.0 <= fidelity <= 1.0:
@@ -170,22 +166,11 @@ def nested_distill(
     return FidelityDistribution.from_pairs(acc.items())
 
 
-def link_count_distribution(p: float, k: int) -> np.ndarray:
-    """Binomial law of how many of k attempts leave a usable link."""
-    if k < 1:
-        raise ValueError(f"attempt count must be >= 1, got {k}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"success probability must be in [0, 1], got {p}")
-    return np.array(
-        [math.comb(k, l) * p**l * (1.0 - p) ** (k - l) for l in range(k + 1)]
-    )
-
-
 def per_sensor_outcome_distribution(
     fidelity: float, p: float, k: int, policy: LeftoverPolicy = LeftoverPolicy.DISCARD
 ) -> FidelityDistribution:
     """Final-fidelity law of one sensor after k attempts plus distillation."""
-    counts = link_count_distribution(p, k)
+    counts = snapshot_distribution(k, p)
     pairs: list[tuple[float, float]] = []
     for links, p_links in enumerate(counts):
         if p_links == 0.0:
@@ -221,7 +206,7 @@ def _vectorised_block_qfi(
 ) -> np.ndarray:
     """Per-trial maximal-GHZ snapshot QFI for a (trials, sensors) fidelity array."""
     usable = fids > _USABLE_FIDELITY
-    x = (4.0 * fids - 1.0) / 3.0
+    x = werner_from_fidelity(fids)
     m = usable.sum(axis=1)
     diff = np.where(usable, x, 1.0).prod(axis=1)
     plus = np.where(usable, (1.0 + x) / 2.0, 1.0).prod(axis=1)
@@ -234,23 +219,22 @@ def _vectorised_block_qfi(
 def simulate_distilled_block_protocol(
     cfg: NetworkConfig,
     k: int,
-    policy: DistillPolicy | LeftoverPolicy,
+    policy: LeftoverPolicy,
     *,
     trials: int,
     seed: int,
     threads: int | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the distilled block protocol."""
-    leftover = _as_leftover_policy(policy)
     sensors, p = cfg.sensors, cfg.link_prob
     gap2 = cfg.eig.gap_squared
     local = gap2 / sensors
     tables = []
     for links in range(k + 1):
-        dist = nested_distill(cfg.fidelity, links, leftover)
+        dist = nested_distill(cfg.fidelity, links, policy)
         probs = np.array([pr for _, pr in dist.outcomes])
         tables.append((np.cumsum(probs), np.array(dist.fidelities())))
-    stream = _mc.instance_stream("distilled", sensors, p, cfg.fidelity, k, leftover.value)
+    stream = _mc.instance_stream("distilled", sensors, p, cfg.fidelity, k, policy.value)
 
     def run_chunk(index: int, size: int) -> np.ndarray:
         gen = _mc.chunk_generator(seed, index, stream)
@@ -270,16 +254,6 @@ def simulate_distilled_block_protocol(
         return values
 
     return _mc.run_chunked_trials(run_chunk, trials, resolve_threads(threads))
-
-
-def _as_leftover_policy(policy: DistillPolicy | LeftoverPolicy) -> LeftoverPolicy:
-    if isinstance(policy, LeftoverPolicy):
-        return policy
-    if policy is DistillPolicy.DISTILL_DISCARD:
-        return LeftoverPolicy.DISCARD
-    if policy is DistillPolicy.DISTILL_KEEP:
-        return LeftoverPolicy.KEEP
-    raise ValueError(f"no distillation behaviour for policy {policy}")
 
 
 def ftmbl_distilled_avg_qfi(

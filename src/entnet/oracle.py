@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EigenSpec, GhzPartition
+from .core import EigenSpec, GhzPartition, werner_from_fidelity
 from .errors import SizeLimitError
 
 __all__ = [
@@ -194,7 +194,7 @@ def build_probe(
     groups.sort(key=len, reverse=True)
     probe = np.ones((1, 1), dtype=complex)
     for group in groups:
-        links = [build_werner((4.0 * f - 1.0) / 3.0) for f in group]
+        links = [build_werner(werner_from_fidelity(f)) for f in group]
         sigma = ghz_project(links, len(group))
         probe = np.kron(probe, sigma.matrix)
     for _ in range(partition.local_count):

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import EigenSpec, GhzPartition, coefficient_c, snapshot_qfi_uniform, snapshot_qfi_werner
+from .core import (
+    EigenSpec,
+    GhzPartition,
+    coefficient_c,
+    snapshot_qfi_uniform,
+    snapshot_qfi_werner,
+    werner_from_fidelity,
+)
 from .errors import SizeLimitError
 
 __all__ = [
@@ -94,7 +101,7 @@ def best_group_sizes(max_links: int, fidelity: float) -> list[tuple[int, ...]]:
     if max_links < 0:
         raise ValueError(f"link count must be non-negative, got {max_links}")
     _check_fidelity(fidelity)
-    x = (4.0 * fidelity - 1.0) / 3.0
+    x = werner_from_fidelity(fidelity)
     gain = [0.0, 0.0] + [_group_gain([x] * n) for n in range(2, max_links + 1)]
     # key[r][k] = (summed gain, -groups) of state (r, k), k <= r; parts < 2 form no group.
     key = [[(0.0, 0)] * (r + 1) for r in range(max_links + 1)]
@@ -180,7 +187,7 @@ def optimal_partition_mixed(
     fids = [float(f) for f in fidelities]
     for f in fids:
         _check_fidelity(f)
-    xs = [(4.0 * f - 1.0) / 3.0 for f in fids]
+    xs = [werner_from_fidelity(f) for f in fids]
 
     full = (1 << m) - 1
     ratios = [

@@ -24,7 +24,7 @@ from .partitions import best_group_sizes
 __all__ = [
     "PartitionPolicy",
     "ProtocolKind",
-    "DistillPolicy",
+    "LeftoverPolicy",
     "EstimateMethod",
     "NetworkConfig",
     "ProtocolSpec",
@@ -41,6 +41,11 @@ __all__ = [
     "resolve_threads",
 ]
 
+# The stopping-time series ends once the unsummed probability mass falls
+# below _TAIL_TOL, and gives up with ConvergenceError after _MAX_TIMESTEPS.
+_TAIL_TOL = 1e-10
+_MAX_TIMESTEPS = 100_000
+
 
 class PartitionPolicy(Enum):
     """How the hub groups the m successful links of a snapshot."""
@@ -55,10 +60,16 @@ class ProtocolKind(Enum):
     VARIABLE_TMBL = "vtmbl"
 
 
-class DistillPolicy(Enum):
-    NONE = "none"
-    DISTILL_DISCARD = "discard"
-    DISTILL_KEEP = "keep"
+class LeftoverPolicy(Enum):
+    """Whether redundant links are distilled, and what happens to an odd one.
+
+    Under DISCARD an unpaired link is dropped; under KEEP it is delivered
+    instead of "no link" when every fusion failed.
+    """
+
+    NONE = "none"  # no distillation
+    DISCARD = "discard"
+    KEEP = "keep"
 
 
 class EstimateMethod(Enum):
@@ -97,7 +108,7 @@ class ProtocolSpec:
     kind: ProtocolKind
     k: int = 1
     mu: int = 2
-    distill_policy: DistillPolicy = DistillPolicy.NONE
+    distill_policy: LeftoverPolicy = LeftoverPolicy.NONE
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -107,16 +118,16 @@ class ProtocolSpec:
         if self.kind is ProtocolKind.VARIABLE_TMBL:
             if self.mu < 2:
                 raise ValueError(f"variable block length needs mu >= 2, got {self.mu}")
-            if self.distill_policy is not DistillPolicy.NONE:
+            if self.distill_policy is not LeftoverPolicy.NONE:
                 raise ValueError("distillation is only defined for the fixed-block protocols")
 
     @classmethod
-    def immediate(cls, distill_policy: DistillPolicy = DistillPolicy.NONE) -> "ProtocolSpec":
+    def immediate(cls, distill_policy: LeftoverPolicy = LeftoverPolicy.NONE) -> "ProtocolSpec":
         return cls(ProtocolKind.IMMEDIATE, k=1, distill_policy=distill_policy)
 
     @classmethod
     def fixed_tmbl(
-        cls, k: int, distill_policy: DistillPolicy = DistillPolicy.NONE
+        cls, k: int, distill_policy: LeftoverPolicy = LeftoverPolicy.NONE
     ) -> "ProtocolSpec":
         return cls(ProtocolKind.FIXED_TMBL, k=k, distill_policy=distill_policy)
 
@@ -158,7 +169,11 @@ def resolve_threads(explicit: int | None = None) -> int:
 
 
 def snapshot_distribution(sensors: int, p_eff: float) -> np.ndarray:
-    """Binomial law of the number of linked sensors after one attempt round."""
+    """Binomial law of successes among ``sensors`` independent tries of odds p_eff.
+
+    The linked sensors after one attempt round, and also one sensor's links
+    over a block of k attempts (``snapshot_distribution(k, p)``).
+    """
     if sensors < 1:
         raise ValueError(f"need at least 1 sensor, got {sensors}")
     if not 0.0 <= p_eff <= 1.0:
@@ -285,9 +300,7 @@ def vtmbl_joint_prob(sensors: int, p: float, mu: int, t: int, m: int) -> float:
     return math.comb(sensors, m) * pbar ** ((sensors - m) * t) * tail
 
 
-def _vtmbl_series(
-    cfg: NetworkConfig, mu: int, tail_tol: float, max_timesteps: int
-) -> float:
+def _vtmbl_series(cfg: NetworkConfig, mu: int) -> float:
     sensors = cfg.sensors
     gap2 = cfg.eig.gap_squared
     local = gap2 / sensors
@@ -297,15 +310,15 @@ def _vtmbl_series(
     }
     total = 0.0
     mass = 0.0
-    for t in range(1, max_timesteps + 1):
+    for t in range(1, _MAX_TIMESTEPS + 1):
         for m in range(mu, sensors + 1):
             joint = vtmbl_joint_prob(sensors, cfg.link_prob, mu, t, m)
             mass += joint
             total += joint * ((t - 1) * local + qfi_m[m]) / t
-        if 1.0 - mass < tail_tol:
+        if 1.0 - mass < _TAIL_TOL:
             return total
     raise ConvergenceError(
-        f"stopping-time series not converged after {max_timesteps} slots "
+        f"stopping-time series not converged after {_MAX_TIMESTEPS} slots "
         f"(residual mass {1.0 - mass:.3e})"
     )
 
@@ -346,8 +359,6 @@ def vtmbl_avg_qfi(
     trials: int = 1_000_000,
     seed: int | None = None,
     threads: int | None = None,
-    tail_tol: float = 1e-10,
-    max_timesteps: int = 100_000,
 ) -> AvgQfiEstimate:
     """Average QFI of the wait-for-mu-links protocol.
 
@@ -369,7 +380,7 @@ def vtmbl_avg_qfi(
     if cfg.fidelity != 1.0:
         raise ValueError("analytic waiting-protocol averages are defined for fidelity 1")
     if method is EstimateMethod.TRUNCATED_SERIES:
-        mean = _vtmbl_series(cfg, mu, tail_tol, max_timesteps)
+        mean = _vtmbl_series(cfg, mu)
         return AvgQfiEstimate(mean=mean, method=EstimateMethod.TRUNCATED_SERIES)
     return AvgQfiEstimate(mean=_vtmbl_closed_form(cfg, mu))
 
@@ -378,8 +389,6 @@ def vtmbl_mu_opt(
     sensors: int,
     p: float,
     eig: EigenSpec = EigenSpec(),
-    *,
-    tail_tol: float = 1e-10,
 ) -> int:
     """Best waiting threshold mu in [2, sensors]; ties go to the smaller mu."""
     if sensors < 2:
@@ -387,7 +396,7 @@ def vtmbl_mu_opt(
     cfg = NetworkConfig(sensors, p, 1.0, eig)
     best_mu, best_val = 2, -math.inf
     for mu in range(2, sensors + 1):
-        val = vtmbl_avg_qfi(cfg, mu, tail_tol=tail_tol).mean
+        val = vtmbl_avg_qfi(cfg, mu).mean
         if val > best_val:
             best_mu, best_val = mu, val
     return best_mu
@@ -494,7 +503,7 @@ def monte_carlo_avg_qfi(
         raise ValueError(f"need at least one trial, got {trials}")
     if not 0 <= seed <= _mc.UINT64_MASK:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if spec.distill_policy is not DistillPolicy.NONE:
+    if spec.distill_policy is not LeftoverPolicy.NONE:
         if partition_policy is not PartitionPolicy.MAXIMAL:
             raise ValueError(
                 "distilled Monte Carlo groups every linked sensor; "

@@ -2,19 +2,24 @@
 
 An n-link group contributes more QFI than n local probes exactly when its
 C coefficient exceeds 1/n; the boundary Werner parameter solves
-2^n n x^(2n) = (1 + x)^n + (1 - x)^n on (0, 1).
+2^n n x^(2n) = (1 + x)^n + (1 - x)^n on (0, 1).  The fidelities at which
+one grouping of a few links overtakes another are found the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
+from .core import fidelity_from_werner, werner_from_fidelity
 from .errors import ConvergenceError
+from .partitions import _group_gain
 
-__all__ = ["ThresholdResult", "solve_threshold"]
+__all__ = ["ThresholdResult", "solve_threshold", "grouping_region_edges"]
 
 _SCAN_STEP = 1e-3
 _BISECT_WIDTH = 1e-14
+_CROSSOVER_WIDTH = 1e-13
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,18 @@ class ThresholdResult:
 
 def _gap(x: float, n: int) -> float:
     return 2.0**n * n * x ** (2 * n) - (1.0 + x) ** n - (1.0 - x) ** n
+
+
+def _bisect(f: Callable[[float], float], lo: float, hi: float, width: float) -> float:
+    """Halve a sign-change bracket of f until narrower than width; return its midpoint."""
+    lo_negative = f(lo) < 0.0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def solve_threshold(n: int) -> ThresholdResult:
@@ -52,19 +69,30 @@ def solve_threshold(n: int) -> ThresholdResult:
             f"scan found {len(brackets)} in {brackets}"
         )
     lo, hi = brackets[0]
-    flo = _gap(lo, n)
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        fmid = _gap(mid, n)
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    x = _bisect(lambda v: _gap(v, n), lo, hi, _BISECT_WIDTH)
     rhs = (1.0 + x) ** n + (1.0 - x) ** n
     return ThresholdResult(
         n=n,
         x_thres=x,
-        f_thres=(3.0 * x + 1.0) / 4.0,
+        f_thres=fidelity_from_werner(x),
         residual=_gap(x, n) / rhs,
     )
+
+
+def grouping_region_edges() -> list[float]:
+    """Fidelity edges of the regions where the best grouping of 2..5 links is fixed.
+
+    From 0.80 up: the triple and pair usefulness thresholds, then where one
+    4-group overtakes a 3-group, a 3-group plus a pair, and where one 5-group
+    overtakes a 4-group, each bisected on [0.84, 1]; 1.0 closes the last region.
+    """
+
+    def gain(f: float, sizes: tuple[int, ...]) -> float:
+        x = werner_from_fidelity(f)
+        return sum(_group_gain([x] * n) for n in sizes)
+
+    def crossover(wins: tuple[int, ...], loses: tuple[int, ...]) -> float:
+        return _bisect(lambda f: gain(f, wins) - gain(f, loses), 0.84, 1.0, _CROSSOVER_WIDTH)
+
+    return [0.80, solve_threshold(3).f_thres, solve_threshold(2).f_thres,
+            crossover((4,), (3,)), crossover((4,), (3, 2)), crossover((5,), (4,)), 1.0]

@@ -114,7 +114,7 @@ def _table1_expected():
 
 
 def test_criterion_04_table_reproduction():
-    from entnet.cli import _table1_boundaries
+    from entnet.thresholds import grouping_region_edges
 
     table2 = {
         (10, 0.842): (3, 3, 3), (10, 0.86): (4, 3, 3), (10, 0.88): (4, 3, 3),
@@ -132,7 +132,7 @@ def test_criterion_04_table_reproduction():
         for (m, f), want in table2.items()
         if optimal_partition(m, m, f).best.group_sizes != want
     ]
-    bounds = _table1_boundaries()
+    bounds = grouping_region_edges()
     expected1 = _table1_expected()
     for region in range(1, 7):
         f = 0.5 * (bounds[region - 1] + bounds[region])
@@ -239,7 +239,7 @@ def test_criterion_07_upper_bound():
 def test_criterion_08_distillation():
     ok_norm = True
     for links in range(6):
-        for policy in LeftoverPolicy:
+        for policy in (LeftoverPolicy.DISCARD, LeftoverPolicy.KEEP):
             for f in (0.55, 0.7, 0.9, 1.0):
                 total = sum(p for _, p in nested_distill(f, links, policy).outcomes)
                 ok_norm &= abs(total - 1.0) < 1e-12
@@ -278,7 +278,7 @@ def test_criterion_08_distillation():
 
     tree_ok = True
     for links in range(6):
-        for policy in LeftoverPolicy:
+        for policy in (LeftoverPolicy.DISCARD, LeftoverPolicy.KEEP):
             for f in (0.55, 0.77, 0.95):
                 expected = event_tree(f, links, policy)
                 got = nested_distill(f, links, policy)
@@ -333,14 +333,18 @@ def test_criterion_10_latency_orderings():
 
 
 def test_criterion_11_reproduce_determinism(tmp_path):
+    # 200 000 trials are four chunks, so every thread count splits the work
+    argv = ["protocol-sweep", "--protocol", "ftmbl", "--s", "5", "--p", "0.3:0.7:0.2",
+            "--f", "0.9", "--k", "2", "--method", "mc", "--trials", "200000",
+            "--seed", str(MC_SEED)]
     outputs = []
     for threads in (1, 2, 4):
-        out = tmp_path / f"fig2_{threads}.csv"
-        code = run_subcommand(
-            ["reproduce", "fig2", "--seed", str(MC_SEED), "--threads", str(threads),
-             "--out", str(out)]
-        )
+        out = tmp_path / f"mc_{threads}.csv"
+        code = run_subcommand(argv + ["--threads", str(threads), "--out", str(out)])
         assert code == 0
         outputs.append(out.read_bytes())
-    ok = outputs[0] == outputs[1] == outputs[2]
-    report(11, "reproduce output is byte-identical across thread counts", ok)
+    rows = [line.split(",") for line in outputs[0].decode().splitlines()[2:]]
+    ok = len(rows) == 3
+    ok &= all(r[5] == "mc" and float(r[7]) > 0.0 and r[8] == "200000" for r in rows)
+    ok &= outputs[0] == outputs[1] == outputs[2]
+    report(11, "seeded Monte Carlo output is byte-identical across thread counts", ok)

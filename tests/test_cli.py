@@ -55,6 +55,16 @@ class TestBasics:
         mean = float(text.strip().splitlines()[-1].split(",")[6])
         assert mean == pytest.approx(0.2, abs=1e-15)
 
+    def test_vtmbl_default_is_the_series(self, tmp_path):
+        # the closed form cancels catastrophically here and printed 0.215760010163
+        code, text = run_to_file(
+            tmp_path, "v.csv",
+            ["protocol-sweep", "--protocol", "vtmbl", "--s", "40", "--p", "0.1", "--mu", "20"],
+        )
+        assert code == 0
+        row = text.strip().splitlines()[-1].split(",")
+        assert (row[5], row[6]) == ("series", "0.0646239617193")
+
     def test_distill_distribution(self, tmp_path):
         code, text = run_to_file(
             tmp_path, "di.csv",
@@ -93,6 +103,24 @@ class TestExitCodes:
              "--p", "0.5", "--trials", "10"]
         )
         assert code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["snapshot-qfi", "--s", "5"],
+            ["threshold", "--n", "2"],
+            ["partition", "--m", "3"],
+            ["distill", "--f", "0.9", "--links", "2"],
+            ["measure-cfi", "--s", "3", "--max"],
+            ["latency", "--distance", "1000", "--period", "1e-5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_monte_carlo_flags_only_where_read(self, capsys, argv, flag):
+        assert run_subcommand(argv) == 0
+        assert run_subcommand(argv + [flag, "1"]) == 2
         capsys.readouterr()
 
     def test_numeric_failure_is_exit_3(self, capsys):

@@ -6,17 +6,21 @@ import pytest
 from entnet import (
     EigenSpec,
     GhzPartition,
+    NetworkConfig,
+    best_group_sizes,
     coefficient_c,
-    coefficient_c_uniform,
     fidelity_from_werner,
-    ghz_coeffs_equal,
-    ghz_coeffs_mixed,
-    snapshot_qfi_pure,
     snapshot_qfi_uniform,
     snapshot_qfi_werner,
     werner_from_fidelity,
 )
 from entnet.partitions import enumerate_partitions
+from paper_equations import (
+    coefficient_c_uniform,
+    ghz_coeffs_equal,
+    ghz_coeffs_mixed,
+    snapshot_qfi_pure,
+)
 
 
 class TestEigenSpec:
@@ -38,17 +42,27 @@ class TestEigenSpec:
 class TestWernerLink:
     @pytest.mark.parametrize("f,x", [(1.0, 1.0), (0.25, 0.0), (0.9, (4 * 0.9 - 1) / 3)])
     def test_fidelity_to_parameter(self, f, x):
-        assert werner_from_fidelity(f).werner_param == pytest.approx(x, abs=1e-15)
+        assert werner_from_fidelity(f) == pytest.approx(x, abs=1e-15)
 
     def test_round_trip(self):
         for f in np.linspace(0.0, 1.0, 101):
-            x = werner_from_fidelity(float(f)).werner_param
+            x = werner_from_fidelity(float(f))
             assert fidelity_from_werner(x) == pytest.approx(f, abs=1e-15)
+
+    def test_array_matches_scalar(self):
+        fids = np.linspace(0.0, 1.0, 101)
+        xs = werner_from_fidelity(fids)
+        assert xs.tolist() == [werner_from_fidelity(f) for f in fids.tolist()]
 
     @pytest.mark.parametrize("f", [-0.01, 1.01])
     def test_out_of_range(self, f):
+        # the map itself is unchecked; fidelities are checked where they enter
         with pytest.raises(ValueError):
-            werner_from_fidelity(f)
+            snapshot_qfi_werner(2, GhzPartition((2,), 2), [[0.9, f]])
+        with pytest.raises(ValueError):
+            NetworkConfig(5, 0.5, f)
+        with pytest.raises(ValueError):
+            best_group_sizes(4, f)
 
 
 class TestGhzPartition:

@@ -8,7 +8,6 @@ import pytest
 
 from entnet import (
     DistillMethod,
-    DistillPolicy,
     FidelityDistribution,
     LeftoverPolicy,
     NetworkConfig,
@@ -16,12 +15,14 @@ from entnet import (
     distill_pair,
     ftmbl_avg_qfi,
     ftmbl_distilled_avg_qfi,
-    link_count_distribution,
     monte_carlo_avg_qfi,
     nested_distill,
     per_sensor_outcome_distribution,
+    snapshot_distribution,
 )
 from entnet.errors import SizeLimitError
+
+DISTILLING = (LeftoverPolicy.DISCARD, LeftoverPolicy.KEEP)
 
 
 def event_tree_distill(fidelity, links, policy):
@@ -76,8 +77,16 @@ class TestNestedDistill:
         assert nested_distill(0.8, 0).outcomes == ((0.0, 1.0),)
 
     def test_single_link_both_policies(self):
-        for policy in LeftoverPolicy:
+        for policy in DISTILLING:
             assert nested_distill(0.8, 1, policy).outcomes == ((0.8, 1.0),)
+
+    def test_none_policy_raises(self):
+        with pytest.raises(ValueError):
+            nested_distill(0.8, 2, LeftoverPolicy.NONE)
+        with pytest.raises(ValueError):
+            per_sensor_outcome_distribution(0.8, 0.5, 2, LeftoverPolicy.NONE)
+        with pytest.raises(ValueError):
+            ftmbl_distilled_avg_qfi(NetworkConfig(3, 0.5, 0.8), 2, LeftoverPolicy.NONE)
 
     def test_two_links_discard(self):
         dist = nested_distill(0.7, 2)
@@ -100,7 +109,7 @@ class TestNestedDistill:
             expected = ((0.0, 1.0),) if links == 0 else ((0.5, 1.0),)
             assert dist.outcomes == expected
 
-    @pytest.mark.parametrize("policy", list(LeftoverPolicy))
+    @pytest.mark.parametrize("policy", DISTILLING)
     @pytest.mark.parametrize("links", range(6))
     def test_matches_event_tree(self, policy, links):
         for fidelity in (0.55, 0.7, 0.84, 0.95, 1.0):
@@ -113,7 +122,7 @@ class TestNestedDistill:
 
     @pytest.mark.parametrize("links", range(9))
     def test_normalisation(self, links):
-        for policy in LeftoverPolicy:
+        for policy in DISTILLING:
             total = sum(p for _, p in nested_distill(0.77, links, policy).outcomes)
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -141,17 +150,19 @@ class TestFidelityDistribution:
 
 
 class TestLinkCountDistribution:
+    """One sensor's link count over k attempts is snapshot_distribution(k, p)."""
+
     def test_single_attempt(self):
-        np.testing.assert_allclose(link_count_distribution(0.3, 1), [0.7, 0.3], atol=1e-15)
+        np.testing.assert_allclose(snapshot_distribution(1, 0.3), [0.7, 0.3], atol=1e-15)
 
     def test_three_attempts(self):
         np.testing.assert_allclose(
-            link_count_distribution(0.5, 3), [1 / 8, 3 / 8, 3 / 8, 1 / 8], atol=1e-15
+            snapshot_distribution(3, 0.5), [1 / 8, 3 / 8, 3 / 8, 1 / 8], atol=1e-15
         )
 
     @pytest.mark.parametrize("p,k", [(0.2, 5), (0.7, 8), (1.0, 3)])
     def test_mean(self, p, k):
-        probs = link_count_distribution(p, k)
+        probs = snapshot_distribution(k, p)
         mean = sum(l * pr for l, pr in enumerate(probs))
         assert mean == pytest.approx(k * p, abs=1e-14)
 
@@ -159,7 +170,7 @@ class TestLinkCountDistribution:
 class TestPerSensorOutcome:
     def test_composition(self):
         dist = per_sensor_outcome_distribution(0.7, 0.5, 2)
-        counts = link_count_distribution(0.5, 2)
+        counts = snapshot_distribution(2, 0.5)
         fp = distill_pair(0.7, 0.7).out_fidelity
         q = distill_pair(0.7, 0.7).success_prob
         assert dist.probability_of(0.7) == pytest.approx(counts[1], abs=1e-14)
@@ -187,12 +198,13 @@ class TestDistilledAverage:
 
     def test_monte_carlo_entrypoint_through_protocols(self):
         cfg = NetworkConfig(5, 0.5, 0.9)
-        spec = ProtocolSpec.fixed_tmbl(3, DistillPolicy.DISTILL_DISCARD)
-        a = monte_carlo_avg_qfi(cfg, spec, trials=100_000, seed=21)
-        b = ftmbl_distilled_avg_qfi(
-            cfg, 3, method=DistillMethod.MONTE_CARLO, trials=100_000, seed=21
-        )
-        assert a.mean == b.mean
+        for policy in DISTILLING:
+            spec = ProtocolSpec.fixed_tmbl(3, policy)
+            a = monte_carlo_avg_qfi(cfg, spec, trials=100_000, seed=21)
+            b = ftmbl_distilled_avg_qfi(
+                cfg, 3, policy, method=DistillMethod.MONTE_CARLO, trials=100_000, seed=21
+            )
+            assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
     def test_beats_undistilled_at_same_block(self):
         for k in (2, 3):

@@ -18,13 +18,13 @@ from entnet import (
     qfi_theta,
     qfim,
     sld_povm,
-    snapshot_qfi_pure,
     snapshot_qfi_uniform,
     snapshot_qfi_werner,
     solve_threshold,
 )
 from entnet.errors import SizeLimitError
 from entnet.partitions import enumerate_partitions
+from paper_equations import snapshot_qfi_pure
 
 
 def plus_povm(sensors):

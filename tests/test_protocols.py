@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from entnet import (
-    DistillPolicy,
     EstimateMethod,
+    LeftoverPolicy,
     NetworkConfig,
     PartitionPolicy,
     ProtocolSpec,
@@ -304,7 +304,7 @@ class TestMonteCarlo:
         assert _mc.chunk_moments(values) == (1000, total, 0.1, 0.0)
 
     def test_distillation_rejects_optimal_grouping(self):
-        spec = ProtocolSpec.fixed_tmbl(3, DistillPolicy.DISTILL_DISCARD)
+        spec = ProtocolSpec.fixed_tmbl(3, LeftoverPolicy.DISCARD)
         cfg = NetworkConfig(5, 0.5, 0.9)
         with pytest.raises(ValueError, match="OPTIMAL"):
             monte_carlo_avg_qfi(cfg, spec, PartitionPolicy.OPTIMAL, trials=1000, seed=1)
@@ -387,8 +387,6 @@ class TestProtocolSpec:
             ProtocolSpec.variable_tmbl(1)
 
     def test_no_distillation_with_waiting(self):
-        from entnet import DistillPolicy
-
         with pytest.raises(ValueError):
             ProtocolSpec(ProtocolKind.VARIABLE_TMBL, mu=3,
-                         distill_policy=DistillPolicy.DISTILL_DISCARD)
+                         distill_policy=LeftoverPolicy.DISCARD)
