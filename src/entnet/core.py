@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "EigenSpec",
@@ -20,6 +20,7 @@ __all__ = [
     "werner_from_fidelity",
     "fidelity_from_werner",
     "coefficient_c",
+    "prefix_coefficients",
     "snapshot_qfi_werner",
     "snapshot_qfi_uniform",
 ]
@@ -127,21 +128,24 @@ def _validate_werner_params(xs: Sequence[float]) -> None:
             raise ValueError(f"Werner parameter must be in [-1/3, 1], got {x}")
 
 
-def _product_identities(xs: Sequence[float]) -> tuple[float, float]:
-    """Return (e00 - e10, e00 + e10) for a projected group of links.
+def prefix_coefficients(xs: Iterable[float]) -> Iterator[float]:
+    """C of each leading group xs[:1], xs[:2], ..., from one pass of running products.
 
-    The difference is the product of the Werner parameters and the sum is
+    e00 - e10 is the product of the Werner parameters and e00 + e10 is
     prod((1 + x)/2) + prod((1 - x)/2); both reduce to the uniform-x closed
-    forms when all parameters coincide.
+    forms when all parameters coincide.  Unchecked: ``coefficient_c``
+    validates, and the grouping search feeds it validated links.
     """
-    diff = 1.0
-    plus = 1.0
-    minus = 1.0
+    diff = plus = minus = 1.0
     for x in xs:
         diff *= x
         plus *= (1.0 + x) / 2.0
         minus *= (1.0 - x) / 2.0
-    return diff, plus + minus
+        total = plus + minus
+        # total >= 2 * 2**-n > 0 for x in [0, 1]^n; stays positive on the full
+        # Werner range because prod((1 +/- x)/2) >= 0 for |x| <= 1.
+        assert total > 0.0, "GHZ weight normalisation must be positive"
+        yield diff * diff / total
 
 
 def coefficient_c(xs: Sequence[float], n: int) -> float:
@@ -155,11 +159,9 @@ def coefficient_c(xs: Sequence[float], n: int) -> float:
     if len(xs) != n:
         raise ValueError(f"expected {n} Werner parameters, got {len(xs)}")
     _validate_werner_params(xs)
-    diff, total = _product_identities(xs)
-    # total >= 2 * 2**-n > 0 for x in [0, 1]^n; stays positive on the full
-    # Werner range because prod((1 +/- x)/2) >= 0 for |x| <= 1.
-    assert total > 0.0, "GHZ weight normalisation must be positive"
-    return diff * diff / total
+    for c in prefix_coefficients(xs):
+        pass
+    return c
 
 
 def _check_partition(sensors: int, partition: GhzPartition) -> None:

@@ -10,4 +10,4 @@ class ConvergenceError(EntnetError):
 
 
 class SizeLimitError(EntnetError):
-    """A request exceeded a documented size cap (oracle qubits, search space)."""
+    """A request exceeded a documented size cap (oracle qubits, distillation enumeration)."""

@@ -2,9 +2,10 @@
 
 Given m successful links, the hub must decide how to partition them into
 GHZ groups (leaving the rest local).  The snapshot QFI is additive over
-groups, S + sum_g (C_g n_g^2 - n_g), so the best grouping is an exact
-dynamic-programming optimum: over integer partitions when every link has
-the same fidelity, and over subsets of links when fidelities differ.
+groups, S + sum_g (C_g n_g^2 - n_g), so the best grouping is a
+dynamic-programming optimum over runs of links sorted by fidelity.  One DP
+serves uniform and mixed fidelities; with a single fidelity it is exact and
+one pass covers every link count.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from typing import Iterator, Sequence
 from .core import (
     EigenSpec,
     GhzPartition,
-    coefficient_c,
+    prefix_coefficients,
     snapshot_qfi_uniform,
     snapshot_qfi_werner,
     werner_from_fidelity,
 )
-from .errors import SizeLimitError
 
 __all__ = [
     "PartitionSearchResult",
@@ -30,16 +30,15 @@ __all__ = [
     "optimal_partition_mixed",
 ]
 
-# The subset DP takes O(3^m) steps; 12 links run in well under a second.
-MAX_MIXED_LINKS = 12
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PartitionSearchResult:
     """Winning grouping and its snapshot QFI.
 
-    ``candidates_evaluated`` counts DP transitions: m(m-1)/2 take-or-skip
-    steps for uniform fidelity, (3^m - 1)/2 block choices for mixed.
+    ``candidates_evaluated`` counts DP transitions, m(m-1)/2 run choices
+    for m searched links, in both the uniform and the mixed-fidelity search.
     """
 
     best: GhzPartition
@@ -81,50 +80,86 @@ def _check_sensors(links: int, sensors: int) -> None:
         raise ValueError(f"need 0 <= m <= sensors, sensors >= 1; got m={links}, sensors={sensors}")
 
 
-def _group_gain(xs: Sequence[float]) -> float:
-    """A group's snapshot-QFI gain over local probes, C n^2 - n."""
-    n = len(xs)
-    return coefficient_c(xs, n) * n * n - n
+def group_gains(fidelity: float, max_links: int) -> list[float]:
+    """Gain C n^2 - n of one n-link group at a single fidelity, n = 0..max_links.
+
+    Entries 0 and 1 are 0, since fewer than two links form no group.  Each
+    entry is the float ``coefficient_c([x] * n, n) * n * n - n`` would give.
+    """
+    _check_fidelity(fidelity)
+    cs = prefix_coefficients([werner_from_fidelity(fidelity)] * max_links)
+    return [0.0] + [c * n * n - n if n >= 2 else 0.0 for n, c in enumerate(cs, 1)]
+
+
+def _best_runs(xs: Sequence[float]) -> list[int]:
+    """Best grouping of every suffix of Werner parameters sorted non-increasing.
+
+    ``best[i]``, the best grouping of links i..m-1, either drops link i or
+    starts a group with the run i..j-1 on top of ``best[j]``: m(m-1)/2
+    transitions, each run's gain read off ``prefix_coefficients``.  With
+    mixed fidelities, searching runs only rests on a tested conjecture:
+    some optimal grouping takes each group as a run of consecutive links in
+    descending-fidelity order (background: Chakravarty, Orlin & Rothblum,
+    Oper. Res. 33 (1985), on consecutive optimal partitions).  Two facts
+    make the order sound.  A link with F <= 1/2 (|x| <= 1/3) only lowers a
+    group's gain: adding it gives C' <= 3x^2 C <= C/3, and a pair holding
+    it gains at most 4/3 - 2 < 0.  And dC/dx > 0 for every x > 0.
+
+    Summed gains within 1e-12 relative of the suffix's best so far tie
+    (summing the same groups in another order moves the last bits).  Ties
+    go to fewer groups, then to the longer run at link i; among groupings
+    that only swap equal-fidelity links, that is larger sizes first, then
+    the lexicographically smallest canonical groups of ranks.
+
+    Returns the length of the run that starts at each link in the best
+    grouping of its suffix, 0 where the link is dropped.
+    """
+    m = len(xs)
+    gain = [0.0] * (m + 1)
+    groups = [0] * (m + 1)
+    run = [0] * (m + 1)
+    for i in range(m - 2, -1, -1):
+        best, count, take = gain[i + 1], groups[i + 1], 0  # link i dropped
+        lo, hi = best * (1.0 - _TIE_RTOL), best * (1.0 + _TIE_RTOL)
+        cs = prefix_coefficients(xs[i:])
+        next(cs)  # a lone link forms no group
+        for n, c in enumerate(cs, 2):
+            g = c * n * n - n + gain[i + n]
+            if g > hi or (g >= lo and groups[i + n] < count):
+                best, count, take = g, groups[i + n] + 1, n
+                lo, hi = best * (1.0 - _TIE_RTOL), best * (1.0 + _TIE_RTOL)
+        gain[i], groups[i], run[i] = best, count, take
+    return run
+
+
+def _runs_from(run: Sequence[int], start: int) -> Iterator[range]:
+    """The groups of the best grouping of links start.., as ranges of sorted positions."""
+    i = start
+    while i < len(run) - 1:
+        if run[i]:
+            yield range(i, i + run[i])
+            i += run[i]
+        else:
+            i += 1
 
 
 def best_group_sizes(max_links: int, fidelity: float) -> list[tuple[int, ...]]:
     """Best group sizes for every link count 0..max_links, from one DP pass.
 
-    State (r, k) is the best grouping of at most r links into parts of at
-    most k: it either skips part size k, (r, k-1), or takes one group of k
-    on top of (r-k, k).  Groupings rank by summed gain, then fewer groups,
-    then lexicographically larger sizes; a grouping with a part k always
-    sorts above one whose parts are all below k, so on equal gain and group
-    count the DP takes k.  The sizes depend on neither the sensor count
-    nor the gap, which only shift and scale the snapshot QFI.
+    With equal fidelities the suffix of r links is the best grouping of r
+    links, so one pass of the run DP over max_links links serves every
+    count.  Ties go to fewer groups, then to lexicographically larger
+    sizes.  The sizes depend on neither the sensor count nor the gap, which
+    only shift and scale the snapshot QFI.
     """
     if max_links < 0:
         raise ValueError(f"link count must be non-negative, got {max_links}")
     _check_fidelity(fidelity)
-    x = werner_from_fidelity(fidelity)
-    gain = [0.0, 0.0] + [_group_gain([x] * n) for n in range(2, max_links + 1)]
-    # key[r][k] = (summed gain, -groups) of state (r, k), k <= r; parts < 2 form no group.
-    key = [[(0.0, 0)] * (r + 1) for r in range(max_links + 1)]
-    took = [[False] * (r + 1) for r in range(max_links + 1)]
-    for r in range(2, max_links + 1):
-        for k in range(2, r + 1):
-            rest_gain, rest_groups = key[r - k][min(k, r - k)]
-            take = (gain[k] + rest_gain, rest_groups - 1)
-            took[r][k] = take >= key[r][k - 1]
-            key[r][k] = take if took[r][k] else key[r][k - 1]
-    out = []
-    for m in range(max_links + 1):
-        sizes: list[int] = []
-        r = k = m
-        while k >= 2:
-            if took[r][k]:
-                sizes.append(k)
-                r -= k
-                k = min(k, r)
-            else:
-                k -= 1
-        out.append(tuple(sizes))
-    return out
+    run = _best_runs([werner_from_fidelity(fidelity)] * max_links)
+    return [
+        tuple(sorted((len(r) for r in _runs_from(run, max_links - m)), reverse=True))
+        for m in range(max_links + 1)
+    ]
 
 
 def optimal_partition(
@@ -147,20 +182,6 @@ def optimal_partition(
     )
 
 
-def _members(block: int) -> tuple[int, ...]:
-    return tuple(i for i in range(block.bit_length()) if block >> i & 1)
-
-
-def _tie_rank(groups: Sequence[tuple[int, ...]]) -> tuple:
-    """Canonical groups and the rank that orders equal-gain, equal-count ties.
-
-    Smaller ranks win: lexicographically larger sizes first, then the
-    lexicographically smallest canonical ``group_members``.
-    """
-    canonical = tuple(sorted(groups, key=lambda g: (-len(g), g)))
-    return tuple(-len(g) for g in canonical), canonical
-
-
 def optimal_partition_mixed(
     fidelities: Sequence[float],
     sensors: int,
@@ -169,60 +190,30 @@ def optimal_partition_mixed(
     """Best assignment of links with unequal fidelities to GHZ groups.
 
     Links left out of every group are dropped (the sensor probes locally).
-    A subset DP over bitmasks of links: the best grouping of a link set
-    either drops its lowest link or puts it in a block with some of the
-    others, O(3^m) steps.  Block gains are scored from the block's sorted
-    fidelities and summed exactly, so groupings that only swap
-    equal-fidelity links tie exactly.  Ties go to fewer groups, then to
-    lexicographically larger sizes, then to the lexicographically smallest
-    canonical ``group_members`` (groups by size descending, then by index).
+    A link with F <= 1/2 only lowers a group's gain (see ``_best_runs``), so
+    it is dropped up front, which also keeps a long run's e00 + e10 from
+    underflowing to 0.  The other m links are ranked by (-F, index) and
+    searched by the run DP: m(m-1)/2 transitions, O(m) memory.  Ties go to
+    fewer groups, then to lexicographically larger sizes, then to the
+    lexicographically smallest canonical groups of ranks (groups by size
+    descending, then by rank).  ``group_members`` holds link indices.
     """
     m = len(fidelities)
-    if m > MAX_MIXED_LINKS:
-        raise SizeLimitError(
-            f"the subset DP is capped at {MAX_MIXED_LINKS} links, got {m}; "
-            "use Monte Carlo instead"
-        )
     _check_sensors(m, sensors)
     fids = [float(f) for f in fidelities]
     for f in fids:
         _check_fidelity(f)
-    xs = [werner_from_fidelity(f) for f in fids]
-
-    full = (1 << m) - 1
-    ratios = [
-        _group_gain(sorted(xs[i] for i in _members(b))).as_integer_ratio()
-        if b & (b - 1) else (0, 1)  # blocks of at least two links
-        for b in range(full + 1)
-    ]
-    # Float gains as integers over one power-of-two denominator: exact sums.
-    scale = max(den for _, den in ratios)
-    gains = [num * (scale // den) for num, den in ratios]
-
-    key = [(0, 0)] * (full + 1)  # (exact summed gain, -groups) per link set
-    ranked = [_tie_rank(())] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        rest = mask ^ low
-        best_key, best_rank = key[rest], ranked[rest]  # the lowest link dropped
-        sub = rest
-        while sub:
-            block = sub | low
-            other = mask ^ block
-            cand = (gains[block] + key[other][0], key[other][1] - 1)
-            if cand >= best_key:
-                rank = _tie_rank(ranked[other][1] + (_members(block),))
-                if cand > best_key or rank < best_rank:
-                    best_key, best_rank = cand, rank
-            sub = (sub - 1) & rest
-        key[mask], ranked[mask] = best_key, best_rank
-
-    members = ranked[full][1]
+    order = sorted((i for i in range(m) if fids[i] > 0.5), key=lambda i: (-fids[i], i))
+    run = _best_runs([werner_from_fidelity(fids[i]) for i in order])
+    members = tuple(sorted(
+        (tuple(sorted(order[i] for i in r)) for r in _runs_from(run, 0)),
+        key=lambda g: (-len(g), g),
+    ))
     best = GhzPartition(tuple(len(g) for g in members), sensors)
     qfi = snapshot_qfi_werner(sensors, best, [[fids[i] for i in g] for g in members], eig)
     return PartitionSearchResult(
         best=best,
         qfi=qfi,
-        candidates_evaluated=(3**m - 1) // 2,
+        candidates_evaluated=len(order) * (len(order) - 1) // 2,
         group_members=members,
     )

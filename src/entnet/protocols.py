@@ -17,9 +17,9 @@ from enum import Enum
 import numpy as np
 
 from . import _mc
-from .core import EigenSpec, GhzPartition, snapshot_qfi_uniform
+from .core import EigenSpec
 from .errors import ConvergenceError
-from .partitions import best_group_sizes
+from .partitions import best_group_sizes, group_gains
 
 __all__ = [
     "PartitionPolicy",
@@ -191,6 +191,7 @@ def _qfi_by_link_count(
 ) -> np.ndarray:
     """Snapshot QFI as a function of the success count m, under a policy."""
     local = eig.gap_squared / sensors
+    gains = group_gains(fidelity, sensors)
     if policy is PartitionPolicy.OPTIMAL:
         best_sizes = best_group_sizes(sensors, fidelity)
     out = np.empty(sensors + 1)
@@ -198,8 +199,12 @@ def _qfi_by_link_count(
     if sensors >= 1:
         out[1] = local  # a single link cannot form a group and is discarded
     for m in range(2, sensors + 1):
-        sizes = (m,) if policy is PartitionPolicy.MAXIMAL else best_sizes[m]
-        out[m] = snapshot_qfi_uniform(sensors, GhzPartition(sizes, sensors), fidelity, eig)
+        # snapshot_qfi_uniform's float operations: S plus each group's gain,
+        # largest group first
+        acc = float(sensors)
+        for n in (m,) if policy is PartitionPolicy.MAXIMAL else best_sizes[m]:
+            acc += gains[n]
+        out[m] = eig.gap_squared * acc / (sensors * sensors)
     return out
 
 

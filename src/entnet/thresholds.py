@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import fidelity_from_werner, werner_from_fidelity
+from .core import fidelity_from_werner
 from .errors import ConvergenceError
-from .partitions import _group_gain
+from .partitions import group_gains
 
 __all__ = ["ThresholdResult", "solve_threshold", "grouping_region_edges"]
 
@@ -88,8 +88,8 @@ def grouping_region_edges() -> list[float]:
     """
 
     def gain(f: float, sizes: tuple[int, ...]) -> float:
-        x = werner_from_fidelity(f)
-        return sum(_group_gain([x] * n) for n in sizes)
+        gains = group_gains(f, max(sizes))
+        return sum(gains[n] for n in sizes)
 
     def crossover(wins: tuple[int, ...], loses: tuple[int, ...]) -> float:
         return _bisect(lambda f: gain(f, wins) - gain(f, loses), 0.84, 1.0, _CROSSOVER_WIDTH)

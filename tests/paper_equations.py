@@ -6,6 +6,7 @@ shared Werner parameter, explicit GHZ-basis weights) restate the paper's
 equations so that the tests can check the general code against them.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -13,7 +14,6 @@ from entnet.core import (
     EigenSpec,
     GhzPartition,
     _check_partition,
-    _product_identities,
     _validate_werner_params,
 )
 
@@ -46,7 +46,8 @@ def ghz_coeffs_mixed(xs: Sequence[float], n: int) -> GhzDiagonalCoeffs:
     if len(xs) != n:
         raise ValueError(f"expected {n} Werner parameters, got {len(xs)}")
     _validate_werner_params(xs)
-    diff, total = _product_identities(xs)
+    diff = math.prod(xs)
+    total = math.prod((1.0 + x) / 2.0 for x in xs) + math.prod((1.0 - x) / 2.0 for x in xs)
     return GhzDiagonalCoeffs(0.5 * (total + diff), 0.5 * (total - diff))
 
 

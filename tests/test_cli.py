@@ -38,6 +38,12 @@ class TestBasics:
         assert code == 0
         assert text.strip().splitlines()[-1].split(",")[4] == "2"
 
+    def test_partition_mixed_past_the_old_cap(self, tmp_path):
+        fids = ",".join(str(round(0.85 + 0.007 * i, 3)) for i in range(20))
+        code, text = run_to_file(tmp_path, "p.csv", ["partition", "--s", "20", "--fidelities", fids])
+        assert code == 0
+        assert text.strip().splitlines()[-1].split(",")[6] == str(20 * 19 // 2)
+
     def test_latency_all_cases(self, tmp_path):
         code, text = run_to_file(
             tmp_path, "l.csv",

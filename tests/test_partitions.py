@@ -5,10 +5,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entnet import (
     GhzPartition,
     best_group_sizes,
+    coefficient_c,
     enumerate_partitions,
     optimal_partition,
     optimal_partition_mixed,
@@ -16,8 +19,6 @@ from entnet import (
     snapshot_qfi_werner,
     solve_threshold,
 )
-from entnet.errors import SizeLimitError
-from entnet.partitions import MAX_MIXED_LINKS
 
 
 @lru_cache(maxsize=None)
@@ -42,23 +43,34 @@ def set_partitions(items):
             yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1 :]
 
 
+def summed_gain(fids, groups):
+    """Summed gain C n^2 - n of groups of link indices, each C from coefficient_c."""
+    return sum(coefficient_c([(4 * fids[i] - 1) / 3 for i in g], len(g)) * len(g) ** 2 - len(g)
+               for g in groups)
+
+
 def brute_force_mixed(fids, sensors):
     """Canonical group_members of the documented winner, by enumeration.
 
-    Values within 1e-12 of each other count as tied (equal-fidelity swaps
-    tie exactly in the DP); ties go to fewer groups, larger sizes, then the
-    lexicographically smallest canonical members.
+    Summed gains within 1e-12 relative count as tied (swapping
+    equal-fidelity links only reorders a float sum).  Ties go to fewer
+    groups, larger sizes, then the lexicographically smallest canonical
+    groups of ranks, a link's rank being its position under (-F, index).
     """
+    order = sorted(range(len(fids)), key=lambda i: (-fids[i], i))
+    rank = {i: r for r, i in enumerate(order)}
     scored = []
     for blocks in set_partitions(list(range(len(fids)))):
-        groups = sorted((tuple(sorted(b)) for b in blocks if len(b) >= 2),
-                        key=lambda g: (-len(g), g))
-        part = GhzPartition(tuple(len(g) for g in groups), sensors)
-        qfi = snapshot_qfi_werner(sensors, part, [[fids[i] for i in g] for g in groups])
-        scored.append((qfi, tuple(groups)))
-    top = max(q for q, _ in scored)
-    tied = [g for q, g in scored if q >= top * (1 - 1e-12)]
-    return min(tied, key=lambda g: (len(g), tuple(-len(b) for b in g), g))
+        groups = [b for b in blocks if len(b) >= 2]
+        gain = summed_gain(fids, groups)
+        ranks = tuple(sorted((tuple(sorted(rank[i] for i in g)) for g in groups),
+                             key=lambda g: (-len(g), g)))
+        scored.append((gain, ranks))
+    top = max(g for g, _ in scored)
+    tied = [r for g, r in scored if g >= top - 1e-12 * abs(top)]
+    ranks = min(tied, key=lambda r: (len(r), tuple(-len(g) for g in r), r))
+    groups = (tuple(sorted(order[i] for i in g)) for g in ranks)
+    return tuple(sorted(groups, key=lambda g: (-len(g), g)))
 
 
 def enumerated_best_sizes(max_m, sensors, fidelity):
@@ -120,7 +132,7 @@ class TestOptimalPartition:
     def test_result_qfi_matches_best(self):
         res = optimal_partition(6, 8, 0.9)
         assert res.qfi == snapshot_qfi_uniform(8, res.best, 0.9)
-        assert res.candidates_evaluated == 6 * 5 // 2  # one DP transition per state (r, k)
+        assert res.candidates_evaluated == 6 * 5 // 2  # one DP transition per run choice
 
     def test_monotone_qfi_in_m_at_unit_fidelity(self):
         values = [optimal_partition(m, 12, 1.0).qfi for m in range(13)]
@@ -211,9 +223,26 @@ class TestOptimalPartitionMixed:
         assert 3 not in [len(b) + 1 for b in res.group_members]  # the 0.6 link is not grouped
         assert all(3 not in block for block in res.group_members)
 
-    def test_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            optimal_partition_mixed([0.9] * (MAX_MIXED_LINKS + 1), MAX_MIXED_LINKS + 1)
+    @pytest.mark.parametrize("links", [60, 200])
+    def test_bounded_by_uniform_groupings(self, links):
+        # raising every link to the top fidelity can only gain (dC/dx > 0),
+        # lowering every link to the bottom one can only lose
+        rng = random.Random(links)
+        for lo, hi in ((0.8, 1.0), (0.93, 0.95)):
+            fids = [rng.uniform(lo, hi) for _ in range(links)]
+            res = optimal_partition_mixed(fids, links)
+            assert optimal_partition(links, links, min(fids)).qfi <= res.qfi
+            assert res.qfi <= optimal_partition(links, links, max(fids)).qfi
+            used = [i for g in res.group_members for i in g]
+            assert len(used) == len(set(used))
+
+    def test_links_at_or_below_half_never_join(self):
+        # a run through 300 links at F=0.9 and 700 at F=0 underflows e00 + e10 to 0
+        fids = [0.0] * 700 + [0.9] * 300
+        res = optimal_partition_mixed(fids, len(fids))
+        assert res.best.group_sizes == best_group_sizes(300, 0.9)[300]
+        assert min(i for g in res.group_members for i in g) == 700
+        assert res.candidates_evaluated == 300 * 299 // 2
 
     def test_threshold_guides_grouping(self):
         f_lo = solve_threshold(2).f_thres - 0.02
@@ -232,7 +261,27 @@ class TestOptimalPartitionMixed:
             res = optimal_partition_mixed(fids, sensors)
             assert res.group_members == brute_force_mixed(fids, sensors), fids
             assert res.best.group_sizes == tuple(len(g) for g in res.group_members)
-            assert res.candidates_evaluated == (3 ** len(fids) - 1) // 2
+            assert res.candidates_evaluated == len(fids) * (len(fids) - 1) // 2
+
+    @pytest.mark.parametrize("fids, members", [
+        ([0.842, 0.86, 0.86, 0.86, 0.86, 0.86], ((0, 4, 5), (1, 2, 3))),
+        ([0.86, 0.842, 0.842, 0.9, 0.8, 0.86, 0.8, 0.86], ((0, 3, 5), (1, 2, 7))),
+    ])
+    def test_ties_go_to_runs_of_ranks(self, fids, members):
+        # equal-gain groupings: the highest-fidelity links group together
+        assert optimal_partition_mixed(fids, len(fids)).group_members == members
+        assert brute_force_mixed(fids, len(fids)) == members
+
+    @settings(derandomize=True, deadline=500, max_examples=150)
+    @given(st.one_of(
+        st.lists(st.floats(0.0, 1.0), min_size=0, max_size=7),
+        st.lists(st.sampled_from([0.3, 0.8, 0.842, 0.86, 0.9, 0.97, 1.0]), min_size=0, max_size=7),
+    ))
+    def test_gain_matches_set_partitions(self, fids):
+        best = max(summed_gain(fids, [b for b in blocks if len(b) >= 2])
+                   for blocks in set_partitions(list(range(len(fids)))))
+        got = summed_gain(fids, optimal_partition_mixed(fids, max(len(fids), 1)).group_members)
+        assert got == pytest.approx(best, rel=1e-12, abs=0.0)
 
     def test_rejects_zero_sensors(self):
         with pytest.raises(ValueError):

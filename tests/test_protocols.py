@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from entnet import (
+    EigenSpec,
     EstimateMethod,
+    GhzPartition,
     LeftoverPolicy,
     NetworkConfig,
     PartitionPolicy,
@@ -17,12 +19,14 @@ from entnet import (
     immediate_avg_qfi,
     monte_carlo_avg_qfi,
     qfi_upper_bound,
+    best_group_sizes,
     snapshot_distribution,
+    snapshot_qfi_uniform,
     vtmbl_avg_qfi,
     vtmbl_joint_prob,
     vtmbl_mu_opt,
 )
-from entnet.protocols import ProtocolKind
+from entnet.protocols import ProtocolKind, _qfi_by_link_count
 
 
 def pure_snapshot_qfi(sensors: int, m: int) -> float:
@@ -124,6 +128,18 @@ class TestFtmbl:
             ks = range(1, math.ceil(3.0 / p) + 1) if p else range(1, 10)
             best = max(ks, key=lambda k: (objective(p, k), -k))
             assert ftmbl_k_opt(p) == best, p
+
+    @pytest.mark.parametrize("policy", list(PartitionPolicy))
+    def test_link_count_table_is_snapshot_qfi(self, policy):
+        # the gain-row sums repeat snapshot_qfi_uniform's float operations
+        for sensors, f, eig in ((1, 0.9, EigenSpec()), (7, 0.86, EigenSpec(0.3, 1.7)),
+                                (40, 0.93, EigenSpec()), (40, 1.0, EigenSpec(-1.0, 0.5))):
+            table = _qfi_by_link_count(sensors, f, policy, eig)
+            sizes = best_group_sizes(sensors, f)
+            for m in range(2, sensors + 1):
+                part = GhzPartition((m,) if policy is PartitionPolicy.MAXIMAL else sizes[m], sensors)
+                assert table[m] == snapshot_qfi_uniform(sensors, part, f, eig), (sensors, f, m)
+            assert table[0] == table[1] == eig.gap_squared / sensors
 
     def test_optimal_policy_at_sixty_sensors(self):
         for f in (0.86, 0.93):
