@@ -6,12 +6,18 @@ SLD operators and the Fisher information of explicit POVMs.  Everything
 here is a pure function of its inputs and is meant as a test oracle, not
 a production simulator; the qubit count is capped at 12.
 
-The probes are real and rank-deficient, so the QFI matrix runs ``eigh`` in
-real arithmetic whenever a matrix has no imaginary part and keeps only the
-eigenvectors in the probe's support (Liu et al., J. Phys. A 53, 023001
-(2020)).  POVM outcome probabilities and their derivatives come from one
-contraction of the stacked elements with the state and its exact
-derivative along a common phase shift; nothing is differenced.
+Each ``DenseState`` is diagonalised once, when it is built: the positivity
+check runs ``eigh`` (in real arithmetic whenever the matrix has no
+imaginary part) and the state keeps the spectrum.  ``qfim`` and
+``sld_operator`` read it, and ``apply_phases`` carries it through the
+diagonal phase unitary without a new decomposition.  The probes are real
+and rank-deficient, so the QFI matrix keeps only the eigenvectors in the
+probe's support (Liu et al., J. Phys. A 53, 023001 (2020)).  POVM
+positivity is certified by one batched Cholesky factorisation, with an
+eigenvalue check as the fallback.  POVM outcome probabilities and their
+derivatives come from one contraction of the stacked elements with the
+state and its exact derivative along a common phase shift; nothing is
+differenced.
 
 Qubit convention: qubit 0 is the leftmost tensor factor (most significant
 bit of the computational-basis index).
@@ -64,9 +70,19 @@ def _real_if_exact(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class DenseState:
-    """A validated density matrix on a register of qubits."""
+    """A validated density matrix on a register of qubits.
+
+    The state owns a read-only complex copy of its matrix and keeps the
+    ``eigh`` spectrum its positivity check computed, so the matrix is
+    diagonalised once however many quantities are derived from it.
+    """
 
     matrix: np.ndarray
 
@@ -80,13 +96,33 @@ class DenseState:
         if dim > 2**MAX_QUBITS:
             raise SizeLimitError(f"dense engine is capped at {MAX_QUBITS} qubits")
         mat = np.ascontiguousarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
+        if np.may_share_memory(mat, self.matrix):
+            mat = mat.copy()
         if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > _TRACE_TOL or abs(np.trace(mat).imag) > _TRACE_TOL:
             raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(_real_if_exact(mat)).min() < -_EIGENVALUE_TOL:
+        evals, evecs = np.linalg.eigh(_real_if_exact(mat))
+        if evals.min() < -_EIGENVALUE_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
+        _read_only(mat, evals, evecs)
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_spectrum", (evals, evecs))
+
+    def _conjugated(self, diag: np.ndarray) -> "DenseState":
+        """diag(u) rho diag(u)^H for a unit-modulus u, with no new check.
+
+        Conjugation by a unitary keeps Hermiticity, trace and the
+        eigenvalues, and maps each eigenvector v to u * v.
+        """
+        evals, evecs = self._spectrum
+        mat = (diag[:, None] * self.matrix) * diag.conj()[None, :]
+        rotated = diag[:, None] * evecs
+        _read_only(mat, rotated)
+        out = object.__new__(type(self))
+        object.__setattr__(out, "matrix", mat)
+        object.__setattr__(out, "_spectrum", (evals, rotated))
+        return out
 
     @property
     def dim(self) -> int:
@@ -221,13 +257,16 @@ def phase_diagonal(phis: PhaseVector, eig: EigenSpec = EigenSpec()) -> np.ndarra
 def apply_phases(
     state: DenseState, phis: PhaseVector, eig: EigenSpec = EigenSpec()
 ) -> DenseState:
-    """Conjugate a state by the local phase unitaries."""
+    """Conjugate a state by the local phase unitaries.
+
+    The result keeps the input's eigenvalues and rotates its eigenvectors,
+    so nothing is diagonalised or re-checked.
+    """
     if state.num_qubits != len(phis):
         raise ValueError(
             f"state has {state.num_qubits} qubits but {len(phis)} phases were given"
         )
-    diag = phase_diagonal(phis, eig)
-    return DenseState((diag[:, None] * state.matrix) * diag.conj()[None, :])
+    return state._conjugated(phase_diagonal(phis, eig))
 
 
 def _spins(sensors: int) -> np.ndarray:
@@ -262,18 +301,20 @@ def qfim(probe: DenseState, phis: PhaseVector, eig: EigenSpec = EigenSpec()) -> 
     if len(phis) != sensors:
         raise ValueError("phase vector length must match the qubit count")
     dim = probe.dim
-    evals, evecs = np.linalg.eigh(_real_if_exact(probe.matrix))
+    evals, evecs = probe._spectrum
     support = evals > _DEGENERACY_TOL
     e_supp = evals[support]
     gens = (-0.5 * eig.delta_lambda) * _spins(sensors)
     # one GEMM for every sensor: mats[g', s, g] = <g'| h_s |g>, g in the support
     scaled = gens.T[:, :, None] * evecs[:, support][:, None, :]
     mats = (evecs.conj().T @ scaled.reshape(dim, -1)).reshape(dim, sensors, -1)
+    del scaled
     esum = evals[:, None] + e_supp[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(esum > _DEGENERACY_TOL, (evals[:, None] - e_supp[None, :]) / esum, 0.0)
     root_weight = 2.0 * np.sqrt(e_supp)[None, :] * np.abs(ratio)
-    rows = (mats * root_weight[:, None, :]).transpose(1, 0, 2).reshape(sensors, -1)
+    mats *= root_weight[:, None, :]
+    rows = mats.transpose(1, 0, 2).reshape(sensors, -1)
     out = (rows @ rows.conj().T).real
     return 0.5 * (out + out.T)
 
@@ -299,8 +340,7 @@ def sld_operator(
     sensors = probe.num_qubits
     if len(phis) != sensors:
         raise ValueError("phase vector length must match the qubit count")
-    evolved = apply_phases(probe, phis, eig)
-    evals, evecs = np.linalg.eigh(evolved.matrix)
+    evals, evecs = apply_phases(probe, phis, eig)._spectrum
     hbar = (-0.5 * eig.delta_lambda) * _spins(sensors).mean(axis=0)
     hmat = evecs.conj().T @ (hbar[:, None] * evecs)
     esum = evals[:, None] + evals[None, :]
@@ -308,6 +348,42 @@ def sld_operator(
     with np.errstate(divide="ignore", invalid="ignore"):
         coeff = np.where(esum > _DEGENERACY_TOL, -2j * ediff / esum, 0.0)
     return evecs @ (coeff * hmat) @ evecs.conj().T
+
+
+def _certified_positive(elements: np.ndarray) -> bool:
+    """True when one batched Cholesky factorisation proves each element PSD to -3τ/4.
+
+    τ is ``_POVM_TOL``.  Cholesky and ``eigvalsh`` both read only the lower
+    triangle and the real diagonal, so both see the same Hermitian H per
+    element.  Let A = H + (τ/2) I, Â its floating-point value, t the
+    computed sum of |Re Â_ii|, u the unit roundoff and g = γ_{4(d+1)}.
+    If the factorisation of Â completes, Higham, *Accuracy and Stability
+    of Numerical Algorithms* (2nd ed.), Thm 10.3 gives R^H R = Â + ΔA with
+    |ΔA| <= g |R^H| |R|; its real constant γ_{d+1} is enlarged to g to
+    cover complex arithmetic (Higham §3.6).  Then
+    ||ΔA||_2 <= g ||R||_F^2 = g (tr Â + tr ΔA) <= g (t + g ||R||_F^2), so
+    ||ΔA||_2 <= g t / (1 - g), and R^H R >= 0 gives λ_min(Â) >= -g t/(1 - g).
+    Forming the shift moves each diagonal entry by at most u |Â_ii| and
+    summing t loses at most a factor 1 - γ_d, so for d <= 2^12
+    λ_min(H) >= -τ/2 - 2 g t.  The stack is accepted only when
+    2 g t <= τ/4, which proves λ_min(H) >= -3τ/4 for every element.  The
+    remaining τ/4 exceeds the rounding of ``eigvalsh`` itself, which is of
+    order d u ||H||_2 <= d u t <= τ/32, so an accepted stack is one the
+    eigenvalue test accepts.  Any other outcome (a failed factorisation, a
+    large trace, a NaN) returns False and leaves the decision to it.
+    """
+    dim = elements.shape[-1]
+    unit = 0.5 * np.finfo(float).eps
+    gamma = 4 * (dim + 1) * unit / (1.0 - 4 * (dim + 1) * unit)
+    shifted = elements + (0.5 * _POVM_TOL) * np.eye(dim)
+    trace = np.abs(np.diagonal(shifted, axis1=1, axis2=2).real).sum(axis=1)
+    if not 2.0 * gamma * trace.max() <= 0.25 * _POVM_TOL:
+        return False
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _validate_povm(povm: Sequence[np.ndarray], dim: int) -> np.ndarray:
@@ -320,7 +396,7 @@ def _validate_povm(povm: Sequence[np.ndarray], dim: int) -> np.ndarray:
     elements = _real_if_exact(np.ascontiguousarray(povm, dtype=complex))
     if np.max(np.abs(elements - elements.conj().transpose(0, 2, 1))) > _POVM_TOL:
         raise ValueError("POVM element is not Hermitian")
-    if np.linalg.eigvalsh(elements).min() < -_POVM_TOL:
+    if not _certified_positive(elements) and np.linalg.eigvalsh(elements).min() < -_POVM_TOL:
         raise ValueError("POVM element is not positive semidefinite")
     if np.max(np.abs(elements.sum(axis=0) - np.eye(dim))) > _POVM_TOL:
         raise ValueError("POVM elements do not sum to the identity")

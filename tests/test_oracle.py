@@ -25,6 +25,7 @@ from entnet import (
     sld_povm,
 )
 from entnet.errors import SizeLimitError
+from entnet.oracle import _POVM_TOL, _certified_positive, _validate_povm
 from paper_equations import coefficient_c_uniform, ghz_coeffs_equal, ghz_coeffs_mixed
 
 
@@ -66,6 +67,50 @@ def reference_qfim(probe, eig=EigenSpec()):
         for b in range(sensors):
             out[a, b] = np.sum(weight * mats[a] * mats[b].conj()).real
     return out
+
+
+def fresh_eigh_qfim(probe, eig=EigenSpec()):
+    """qfim's arithmetic, step by step, on a fresh ``eigh`` of probe.matrix."""
+    sensors, dim = probe.num_qubits, probe.dim
+    mat = probe.matrix
+    if not mat.imag.any():
+        mat = np.ascontiguousarray(mat.real)
+    evals, evecs = np.linalg.eigh(mat)
+    support = evals > 1e-14
+    e_supp = evals[support]
+    idx = np.arange(dim)
+    spins = np.array([1.0 - 2.0 * ((idx >> (sensors - 1 - s)) & 1) for s in range(sensors)])
+    gens = (-0.5 * eig.delta_lambda) * spins
+    scaled = gens.T[:, :, None] * evecs[:, support][:, None, :]
+    mats = (evecs.conj().T @ scaled.reshape(dim, -1)).reshape(dim, sensors, -1)
+    esum = evals[:, None] + e_supp[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(esum > 1e-14, (evals[:, None] - e_supp[None, :]) / esum, 0.0)
+    root_weight = 2.0 * np.sqrt(e_supp)[None, :] * np.abs(ratio)
+    rows = (mats * root_weight[:, None, :]).transpose(1, 0, 2).reshape(sensors, -1)
+    out = (rows @ rows.conj().T).real
+    return 0.5 * (out + out.T)
+
+
+def perturbed_povm(rng, dim, c, complex_, parts=2):
+    """A projective POVM whose first element has least eigenvalue -c * _POVM_TOL.
+
+    The first element loses c * tol along a direction w outside its range
+    and the second gains it, so the elements still sum to the identity.
+    """
+    raw = rng.normal(size=(dim, dim))
+    if complex_:
+        raw = raw + 1j * rng.normal(size=(dim, dim))
+    basis, _ = np.linalg.qr(raw)
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=parts - 1, replace=False))
+    cols = np.split(np.arange(dim), cuts)
+    elems = [basis[:, idx] @ basis[:, idx].conj().T for idx in cols]
+    w = basis[:, cols[1]] @ rng.normal(size=len(cols[1]))
+    w = w / np.linalg.norm(w)
+    kick = (c * _POVM_TOL) * np.outer(w, w.conj())
+    elems[0] = elems[0] - kick
+    elems[1] = elems[1] + kick
+    return elems
 
 
 def mean_generator(sensors, eig=EigenSpec()):
@@ -112,6 +157,20 @@ class TestDenseState:
 
     def test_keeps_complex_dtype_for_real_input(self):
         assert DenseState(np.eye(2) / 2).matrix.dtype == complex
+
+    def test_owns_a_read_only_copy(self):
+        sensors = 4
+        phis = PhaseVector.zeros(sensors)
+        mat = build_probe(sensors, GhzPartition((3,), sensors), [[0.9, 0.8, 0.95]]).matrix.copy()
+        state = DenseState(mat)
+        before, qfi = state.matrix.copy(), qfim(state, phis)
+        mat[:] = np.eye(2**sensors) / 2**sensors
+        np.testing.assert_array_equal(state.matrix, before)
+        np.testing.assert_array_equal(qfim(state, phis), qfi)
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            apply_phases(state, PhaseVector((0.3,) * sensors)).matrix[0, 0] = 1.0
 
 
 class TestBuildWerner:
@@ -245,6 +304,16 @@ class TestApplyPhases:
         with pytest.raises(ValueError):
             apply_phases(build_werner(0.9), PhaseVector.zeros(3))
 
+    def test_carried_spectrum_rebuilds_matrix(self):
+        rng = np.random.default_rng(5)
+        probe = build_probe(5, GhzPartition((3, 2), 5), [[0.9, 0.8, 0.95], [0.85, 0.9]])
+        phis = PhaseVector(tuple(rng.uniform(-np.pi, np.pi, 5)))
+        once = apply_phases(probe, phis)
+        for state in (once, apply_phases(once, phis)):
+            evals, evecs = state._spectrum
+            rebuilt = (evecs * evals[None, :]) @ evecs.conj().T
+            np.testing.assert_allclose(rebuilt, state.matrix, rtol=0, atol=1e-13)
+
 
 class TestQfim:
     def test_product_plus_states(self):
@@ -297,6 +366,17 @@ class TestQfim:
             snapshot_qfi_werner(sensors, part, fids), abs=1e-12)
         np.testing.assert_allclose(mat, reference_qfim(probe), rtol=0, atol=1e-13)
         np.testing.assert_array_equal(mat, mat.T)
+
+    def test_bit_identical_to_fresh_eigh(self):
+        eig = EigenSpec(0.3, -1.4)
+        for sensors, sizes, fids in [(6, (3, 2), [[1.0, 0.9, 0.95], [0.85, 1.0]]),
+                                     (5, (5,), [[0.8, 0.9, 0.85, 0.95, 0.75]])]:
+            probe = build_probe(sensors, GhzPartition(sizes, sensors), fids)
+            phis = PhaseVector(tuple(np.linspace(-2.0, 2.5, sensors)))
+            by_hand = DenseState(apply_phases(probe, phis).matrix)
+            assert by_hand.matrix.imag.any()
+            for state in (probe, by_hand):
+                np.testing.assert_array_equal(qfim(state, phis, eig), fresh_eigh_qfim(state, eig))
 
     def test_matches_full_eigenbasis_reference(self):
         eig = EigenSpec(0.3, -1.4)
@@ -391,6 +471,47 @@ class TestMeasurementCfi:
         for message, elements in bad.items():
             with pytest.raises(ValueError, match=message):
                 measurement_cfi(probe, phis, elements)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("dim", [4, 128])
+    @pytest.mark.parametrize("c,certified,valid", [
+        (0.0, True, True), (0.3, True, True), (0.6, False, True),
+        (0.99, False, True), (1.01, False, False), (3.0, False, False),
+    ])
+    def test_positivity_certificate_edges(self, c, certified, valid, dim, complex_):
+        rng = np.random.default_rng(dim + 7 * complex_)
+        elems = perturbed_povm(rng, dim, c, complex_)
+        stack = np.array(elems)
+        assert np.iscomplexobj(stack) == complex_
+        assert np.linalg.eigvalsh(stack).min() == pytest.approx(-c * _POVM_TOL, abs=1e-3 * _POVM_TOL)
+        assert _certified_positive(stack) == certified
+        if valid:
+            _validate_povm(elems, dim)
+        else:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                _validate_povm(elems, dim)
+
+    def test_large_trace_falls_back_to_eigenvalues(self):
+        identity = [np.eye(1024)]
+        assert not _certified_positive(np.array(identity))
+        _validate_povm(identity, 1024)
+
+    def test_positivity_decision_matches_eigenvalue_check(self):
+        rng = np.random.default_rng(31)
+        decisions = set()
+        for _ in range(200):
+            dim = int(rng.choice([2, 4, 8, 16]))
+            elems = perturbed_povm(rng, dim, rng.uniform(0.0, 2.0), bool(rng.integers(2)),
+                                   parts=int(rng.integers(2, dim + 1)))
+            expected = np.linalg.eigvalsh(np.array(elems)).min() >= -_POVM_TOL
+            try:
+                _validate_povm(elems, dim)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected
+            decisions.add((accepted, _certified_positive(np.array(elems))))
+        assert decisions == {(True, True), (True, False), (False, False)}
 
     @pytest.mark.parametrize("sensors,sizes,fids,phases", [
         (3, (2,), [[0.9, 0.8]], (0.3, -0.7, 1.1)),
