@@ -67,6 +67,8 @@ def run_chunked_trials(
     workers: int,
 ) -> tuple[float, float]:
     """Map ``run_chunk(index, size) -> per-trial values``; pool mean and std error."""
+    if trials < 2:
+        raise ValueError(f"a standard error needs at least 2 trials, got {trials}")
     sizes = chunk_sizes(trials)
 
     def moments(index: int, size: int) -> tuple[int, float, float, float]:
@@ -85,5 +87,4 @@ def run_chunked_trials(
         run_mean += delta * size / total
         m2 += chunk_m2 + delta * delta * count * size / total
         count = total
-    variance = m2 / (trials - 1) if trials > 1 else 0.0
-    return mean, math.sqrt(variance / trials)
+    return mean, math.sqrt(m2 / (trials - 1) / trials)

@@ -202,7 +202,14 @@ def _cmd_threshold(args) -> int:
     return _write_csv(args, {"n": args.n}, ("n", "x_thres", "f_thres", "residual"), rows)
 
 
+def _check_link_fidelity(fidelity: float) -> None:
+    # Checked up front: an all-local partition never reads --f.
+    if not 0.0 <= fidelity <= 1.0:
+        raise ValueError(f"--f must be in [0, 1], got {fidelity}")
+
+
 def _cmd_snapshot_qfi(args) -> int:
+    _check_link_fidelity(args.f)
     sizes = _parse_partition(args.partition)
     part = GhzPartition(sizes, args.s)
     if args.fidelities:
@@ -288,6 +295,8 @@ def _cmd_protocol_sweep(args) -> int:
 def _cmd_distill(args) -> int:
     policy = LeftoverPolicy(args.policy)
     if args.links is not None:
+        if args.p is not None or args.k is not None:
+            raise ValueError("--links cannot be combined with --p or --k")
         dist = nested_distill(args.f, args.links, policy)
         params = {"f": args.f, "links": args.links, "policy": args.policy}
     else:
@@ -300,6 +309,7 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_measure_cfi(args) -> int:
+    _check_link_fidelity(args.f)
     sizes = _parse_partition(args.partition)
     part = GhzPartition(sizes, args.s)
     x = werner_from_fidelity(args.f)

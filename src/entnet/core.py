@@ -142,10 +142,10 @@ def prefix_coefficients(xs: Iterable[float]) -> Iterator[float]:
         plus *= (1.0 + x) / 2.0
         minus *= (1.0 - x) / 2.0
         total = plus + minus
-        # total >= 2 * 2**-n > 0 for x in [0, 1]^n; stays positive on the full
-        # Werner range because prod((1 +/- x)/2) >= 0 for |x| <= 1.
-        assert total > 0.0, "GHZ weight normalisation must be positive"
-        yield diff * diff / total
+        # |diff| <= plus, because |x| <= (1 + x)/2 on the Werner range and
+        # rounding keeps the order; so when both weights underflow to 0
+        # (at x = 0 from n = 1075 on), diff and C are 0 too.
+        yield diff * diff / total if total > 0.0 else 0.0
 
 
 def coefficient_c(xs: Sequence[float], n: int) -> float:

@@ -6,16 +6,18 @@ with a known probability and, above fidelity 1/2, yields a strictly better
 link.  Surviving links are fused again level by level.  An odd link at a
 level is either discarded or kept as a fallback for the all-failures
 branch; which choice wins depends on where the fidelity sits relative to
-the usefulness thresholds.
+the usefulness thresholds.  A dynamic programme over the levels gives
+each law, and the exact block average enumerates how many sensors end on
+each of its values, up to a bound on the number of such count vectors.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -43,9 +45,8 @@ __all__ = [
     "simulate_distilled_block_protocol",
 ]
 
-# Enumeration is exact but multinomial-sized; past these caps use Monte Carlo.
-MAX_ENUM_SENSORS = 8
-MAX_ENUM_BLOCK = 5
+# Bound on the C(S+L-1, L-1) count vectors exact enumeration visits.
+_MAX_MULTISETS = 1_000_000
 
 # A final link at or below this fidelity is sensed around, not grouped.
 _USABLE_FIDELITY = 0.5
@@ -129,55 +130,54 @@ def nested_distill(
     """Distribution of the final fidelity after nested 2 -> 1 fusion.
 
     Each level pairs up the equal-fidelity links, fuses every pair, and
-    recurses on the successes at the improved fidelity; the recursion
+    moves the successes up to the improved fidelity; the process
     stops with one link, no links, or a fidelity at or below 1/2 (fusion
     no longer improves there).  Odd leftovers are dropped level by level
     under DISCARD; under KEEP the best leftover is delivered instead of
     "no link" when every fusion failed.  NONE is not a distillation and
     raises ``ValueError``.
     """
-    if policy is LeftoverPolicy.NONE:
-        raise ValueError("no distillation behaviour for policy NONE")
     if links < 0:
         raise ValueError(f"link count must be non-negative, got {links}")
-    if not 0.0 <= fidelity <= 1.0:
-        raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
-    acc: dict[float, float] = defaultdict(float)
-
-    def recurse(f: float, count: int, prob: float, fallback: float) -> None:
-        if prob == 0.0:
-            return
-        if count == 0:
-            acc[fallback if policy is LeftoverPolicy.KEEP else 0.0] += prob
-        elif count == 1 or f <= 0.5:
-            acc[f] += prob
-        else:
-            step = distill_pair(f, f)
-            q = step.success_prob
-            pairs = count // 2
-            # The leftover ladder is increasing, so the newest odd link is
-            # automatically the best fallback.
-            nxt_fallback = max(fallback, f) if count % 2 else fallback
-            for s in range(pairs + 1):
-                weight = prob * math.comb(pairs, s) * q**s * (1.0 - q) ** (pairs - s)
-                recurse(step.out_fidelity, s, weight, nxt_fallback)
-
-    recurse(fidelity, links, 1.0, 0.0)
-    return FidelityDistribution.from_pairs(acc.items())
+    return _distill_levels(fidelity, np.arange(links + 1) == links, policy)
 
 
 def per_sensor_outcome_distribution(
     fidelity: float, p: float, k: int, policy: LeftoverPolicy = LeftoverPolicy.DISCARD
 ) -> FidelityDistribution:
     """Final-fidelity law of one sensor after k attempts plus distillation."""
-    counts = snapshot_distribution(k, p)
-    pairs: list[tuple[float, float]] = []
-    for links, p_links in enumerate(counts):
-        if p_links == 0.0:
-            continue
-        for fid, prob in nested_distill(fidelity, links, policy).outcomes:
-            pairs.append((fid, p_links * prob))
-    return FidelityDistribution.from_pairs(pairs)
+    return _distill_levels(fidelity, snapshot_distribution(k, p), policy)
+
+
+def _distill_levels(
+    fidelity: float, link_law: np.ndarray, policy: LeftoverPolicy
+) -> FidelityDistribution:
+    """Final-fidelity law for the link-count law ``link_law``, level by level.
+
+    ``mass[c, j]``: c links on this level, ending on ``ends[j]`` if none survives.
+    The ladder never decreases, so the newest odd link is the best leftover.
+    """
+    if policy is LeftoverPolicy.NONE:
+        raise ValueError("no distillation behaviour for policy NONE")
+    if not 0.0 <= fidelity <= 1.0:
+        raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
+    mass = np.asarray(link_law, dtype=float)[:, None]
+    ends, ended, f = [0.0], [], fidelity
+    while True:
+        # one link, or links at or below 1/2 where fusion no longer improves, end here
+        ended += [*zip(ends, mass[0]), (f, mass[1:].sum() if f <= 0.5 else mass[1:2].sum())]
+        if f <= 0.5 or len(mass) <= 2:
+            return FidelityDistribution.from_pairs(pair for pair in ended if pair[1] > 0.0)
+        step = distill_pair(f, f)
+        nxt = np.zeros((len(mass) // 2 + 1, len(ends) + 1))
+        for c in np.flatnonzero(mass[2:].any(axis=1)) + 2:
+            row = snapshot_distribution(c // 2, step.success_prob)
+            if c % 2:
+                nxt[: len(row), -1] += row * mass[c].sum()
+            else:
+                nxt[: len(row), :-1] += np.outer(row, mass[c])
+        ends.append(f if policy is LeftoverPolicy.KEEP else 0.0)
+        mass, f = nxt, step.out_fidelity
 
 
 def _enumerated_block_qfi(
@@ -185,33 +185,35 @@ def _enumerated_block_qfi(
 ) -> float:
     sensors = cfg.sensors
     dist = per_sensor_outcome_distribution(cfg.fidelity, cfg.link_prob, k, policy)
-    fids = np.array(dist.fidelities())
-    probs = [p for _, p in dist.outcomes]
-    combos = list(combinations_with_replacement(range(len(fids)), sensors))
-    qfis = _vectorised_block_qfi(fids[np.array(combos)], sensors, cfg.eig.gap_squared)
-    total = 0.0
-    for combo, qfi in zip(combos, qfis.tolist()):
-        counts = Counter(combo)
-        weight = math.factorial(sensors)
-        prob = 1.0
-        for idx, c in counts.items():
-            weight //= math.factorial(c)
-            prob *= probs[idx] ** c
-        total += weight * prob * qfi
-    return total
+    bars = len(dist.outcomes) - 1
+    multisets = math.comb(sensors + bars, bars)
+    if multisets > _MAX_MULTISETS:
+        raise SizeLimitError(
+            f"enumerating {multisets:,} count vectors exceeds {_MAX_MULTISETS:,}; use Monte Carlo"
+        )
+    # Stars and bars: each choice of bar slots among S + L - 1 is one count vector.
+    slots = chain.from_iterable(combinations(range(sensors + bars), bars))
+    chosen = np.fromiter(slots, dtype=np.int64, count=multisets * bars).reshape(multisets, bars)
+    counts = np.diff(chosen, axis=1, prepend=-1, append=sensors + bars) - 1
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(sensors + 1)])
+    log_probs = np.log([p for _, p in dist.outcomes])
+    weights = np.exp(log_fact[sensors] - log_fact[counts].sum(axis=1) + counts @ log_probs)
+    qfis = _maximal_qfi(counts, np.array(dist.fidelities()), sensors, cfg.eig.gap_squared)
+    return math.fsum(weights * qfis)
 
 
-def _vectorised_block_qfi(
-    fids: np.ndarray, sensors: int, gap2: float
+def _maximal_qfi(
+    counts: np.ndarray, fids: np.ndarray, sensors: int, gap2: float
 ) -> np.ndarray:
-    """Per-trial maximal-GHZ snapshot QFI for a (trials, sensors) fidelity array."""
+    """Maximal-GHZ snapshot QFI per row of sensor counts over the values ``fids``."""
     usable = fids > _USABLE_FIDELITY
-    x = werner_from_fidelity(fids)
-    m = usable.sum(axis=1)
-    diff = np.where(usable, x, 1.0).prod(axis=1)
-    plus = np.where(usable, (1.0 + x) / 2.0, 1.0).prod(axis=1)
-    minus = np.where(usable, (1.0 - x) / 2.0, 1.0).prod(axis=1)
-    c = diff * diff / (plus + minus)
+    x = werner_from_fidelity(fids[usable])
+    grouped_counts = counts[:, usable]
+    m = grouped_counts.sum(axis=1)
+    bases = np.array([x, (1.0 + x) / 2.0, (1.0 - x) / 2.0])
+    diff, plus, minus = (bases[:, None, :] ** grouped_counts).prod(axis=2)
+    # |diff| <= plus, so where both weights underflow to 0, C is 0 as well
+    c = np.divide(diff * diff, plus + minus, out=np.zeros_like(plus), where=plus > 0.0)
     grouped = sensors + c * m * m - m
     return gap2 * np.where(m >= 2, grouped, float(sensors)) / (sensors * sensors)
 
@@ -229,29 +231,30 @@ def simulate_distilled_block_protocol(
     sensors, p = cfg.sensors, cfg.link_prob
     gap2 = cfg.eig.gap_squared
     local = gap2 / sensors
+    laws = [nested_distill(cfg.fidelity, links, policy) for links in range(k + 1)]
+    alphabet = np.array(sorted({f for law in laws for f in law.fidelities()}, reverse=True))
     tables = []
-    for links in range(k + 1):
-        dist = nested_distill(cfg.fidelity, links, policy)
-        probs = np.array([pr for _, pr in dist.outcomes])
-        tables.append((np.cumsum(probs), np.array(dist.fidelities())))
+    for law in laws:
+        positions = np.isin(alphabet, law.fidelities()).nonzero()[0]
+        tables.append((np.cumsum([pr for _, pr in law.outcomes]), positions))
     stream = _mc.instance_stream("distilled", sensors, p, cfg.fidelity, k, policy.value)
 
     def run_chunk(index: int, size: int) -> np.ndarray:
         gen = _mc.chunk_generator(seed, index, stream)
         link_counts = gen.binomial(k, p, size=(size, sensors))
         uniforms = gen.random((size, sensors))
-        fids = np.zeros((size, sensors))
+        slots = np.zeros((size, sensors), dtype=np.intp)
         for links in range(k + 1):
             sel = link_counts == links
-            if not sel.any():
-                continue
             cums, vals = tables[links]
             picks = np.minimum(
                 np.searchsorted(cums, uniforms[sel], side="right"), len(vals) - 1
             )
-            fids[sel] = vals[picks]
-        values = ((k - 1) * local + _vectorised_block_qfi(fids, sensors, gap2)) / k
-        return values
+            slots[sel] = vals[picks]
+        # one bincount over trial-offset slots gives every trial's count vector
+        slots += len(alphabet) * np.arange(size)[:, None]
+        counts = np.bincount(slots.ravel(), minlength=size * len(alphabet)).reshape(size, -1)
+        return ((k - 1) * local + _maximal_qfi(counts, alphabet, sensors, gap2)) / k
 
     return _mc.run_chunked_trials(run_chunk, trials, resolve_threads(threads))
 
@@ -272,18 +275,13 @@ def ftmbl_distilled_avg_qfi(
     block, distills them, and the hub groups all sensors whose final link
     survived above fidelity 1/2 into one maximal GHZ projection; the first
     k - 1 slots of the block sense locally.  Enumeration sums the exact
-    multinomial over the per-sensor outcome alphabet and is capped at
-    8 sensors and block length 5; Monte Carlo covers the rest.
+    multinomial over the C(S+L-1, L-1) count vectors of the level
+    programme's L-value law, up to 1,000,000; Monte Carlo does the rest.
     """
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
     local = cfg.eig.gap_squared / cfg.sensors
     if method is DistillMethod.ENUMERATION:
-        if cfg.sensors > MAX_ENUM_SENSORS or k > MAX_ENUM_BLOCK:
-            raise SizeLimitError(
-                f"enumeration is capped at {MAX_ENUM_SENSORS} sensors and "
-                f"block length {MAX_ENUM_BLOCK}; use Monte Carlo"
-            )
         block = _enumerated_block_qfi(cfg, k, policy)
         return AvgQfiEstimate(mean=((k - 1) * local + block) / k)
     if seed is None:

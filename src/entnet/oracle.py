@@ -98,12 +98,14 @@ class DenseState:
         mat = np.ascontiguousarray(self.matrix, dtype=complex)
         if np.may_share_memory(mat, self.matrix):
             mat = mat.copy()
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
+        # Every check reads `not (value <= tol)`, so a NaN fails it.
+        if not np.max(np.abs(mat - mat.conj().T)) <= _HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > _TRACE_TOL or abs(np.trace(mat).imag) > _TRACE_TOL:
+        trace = np.trace(mat)
+        if not (abs(trace.real - 1.0) <= _TRACE_TOL and abs(trace.imag) <= _TRACE_TOL):
             raise ValueError("density matrix must have unit trace")
         evals, evecs = np.linalg.eigh(_real_if_exact(mat))
-        if evals.min() < -_EIGENVALUE_TOL:
+        if not evals.min() >= -_EIGENVALUE_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
         _read_only(mat, evals, evecs)
         object.__setattr__(self, "matrix", mat)
@@ -155,12 +157,6 @@ class PhaseVector:
     @classmethod
     def zeros(cls, sensors: int) -> "PhaseVector":
         return cls((0.0,) * sensors)
-
-
-def _ghz_vector(n: int) -> np.ndarray:
-    vec = np.zeros(2**n, dtype=complex)
-    vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)
-    return vec
 
 
 _PLUS_PROJECTOR = np.full((2, 2), 0.5, dtype=complex)
@@ -394,11 +390,11 @@ def _validate_povm(povm: Sequence[np.ndarray], dim: int) -> np.ndarray:
         if shape != (dim, dim):
             raise ValueError(f"POVM element has shape {shape}, expected {(dim, dim)}")
     elements = _real_if_exact(np.ascontiguousarray(povm, dtype=complex))
-    if np.max(np.abs(elements - elements.conj().transpose(0, 2, 1))) > _POVM_TOL:
+    if not np.max(np.abs(elements - elements.conj().transpose(0, 2, 1))) <= _POVM_TOL:
         raise ValueError("POVM element is not Hermitian")
-    if not _certified_positive(elements) and np.linalg.eigvalsh(elements).min() < -_POVM_TOL:
+    if not (_certified_positive(elements) or np.linalg.eigvalsh(elements).min() >= -_POVM_TOL):
         raise ValueError("POVM element is not positive semidefinite")
-    if np.max(np.abs(elements.sum(axis=0) - np.eye(dim))) > _POVM_TOL:
+    if not np.max(np.abs(elements.sum(axis=0) - np.eye(dim))) <= _POVM_TOL:
         raise ValueError("POVM elements do not sum to the identity")
     return elements
 

@@ -504,8 +504,6 @@ def monte_carlo_avg_qfi(
     simulated with MAXIMAL grouping only; any other policy raises
     ``ValueError``.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
     if not 0 <= seed <= _mc.UINT64_MASK:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if spec.distill_policy is not LeftoverPolicy.NONE:

@@ -129,6 +129,43 @@ class TestExitCodes:
         assert run_subcommand(argv + [flag, "1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distill", "--f", "0.9", "--links", "4", "--p", "nan", "--k", "3"],
+            ["distill", "--f", "0.9", "--links", "4", "--p", "0.5"],
+            ["distill", "--f", "0.9", "--links", "4", "--k", "3"],
+            ["snapshot-qfi", "--s", "3", "--partition", "-", "--f", "nan"],
+            ["measure-cfi", "--s", "3", "--partition", "-", "--f", "inf", "--max"],
+            ["protocol-sweep", "--protocol", "ftmbl", "--p", "0.5", "--method", "mc",
+             "--trials", "1", "--seed", "3"],
+        ],
+        ids=["links-and-p-k", "links-and-p", "links-and-k", "snapshot-f-nan",
+             "measure-f-inf", "one-trial"],
+    )
+    def test_unread_or_invalid_flags_are_rejected(self, capsys, argv):
+        assert run_subcommand(argv) == 2
+        capsys.readouterr()
+
+    def test_quarter_fidelity_large_groups(self, tmp_path, capsys):
+        # at x = 0 both GHZ weights underflow to 0 from n = 1075 on
+        code, text = run_to_file(tmp_path, "p.csv", ["partition", "--m", "1075", "--f", "0.25"])
+        assert code == 0
+        assert text.strip().splitlines()[-1].split(",")[5] == "0.00093023255814"
+        code, text = run_to_file(
+            tmp_path, "s.csv",
+            ["snapshot-qfi", "--s", "1100", "--partition", "1100", "--f", "0.25"],
+        )
+        assert code == 0
+        assert text.strip().splitlines()[-1].split(",")[3] == "0"
+        # the binomial pmf past S ~ 1030 still overflows (exit 3); never a traceback
+        code = run_subcommand(
+            ["protocol-sweep", "--protocol", "ftmbl", "--s", "1100", "--p", "1",
+             "--f", "0.25", "--policy", "optimal"]
+        )
+        assert code in (0, 3)
+        capsys.readouterr()
+
     def test_numeric_failure_is_exit_3(self, capsys):
         # waiting forever: mu can never be reached at p=0 -> ValueError at
         # validation (2); instead force a convergence failure via tiny p

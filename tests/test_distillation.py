@@ -1,6 +1,7 @@
 """Tests for 2 -> 1 link distillation and its protocol integration."""
 
 import itertools
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 
 from entnet import (
     DistillMethod,
+    EigenSpec,
     FidelityDistribution,
     LeftoverPolicy,
     NetworkConfig,
     ProtocolSpec,
+    GhzPartition,
     distill_pair,
     ftmbl_avg_qfi,
     ftmbl_distilled_avg_qfi,
@@ -19,7 +22,9 @@ from entnet import (
     nested_distill,
     per_sensor_outcome_distribution,
     snapshot_distribution,
+    snapshot_qfi_werner,
 )
+from entnet.distillation import _MAX_MULTISETS, _maximal_qfi
 from entnet.errors import SizeLimitError
 
 DISTILLING = (LeftoverPolicy.DISCARD, LeftoverPolicy.KEEP)
@@ -67,6 +72,13 @@ class TestDistillPair:
         assert step.success_prob == pytest.approx(0.68, abs=1e-14)
         assert step.out_fidelity == pytest.approx(0.735294, abs=5e-7)
 
+    def test_ladder_never_decreases(self):
+        # the level programme keeps the newest odd link as the best leftover
+        rng = np.random.default_rng(3)
+        near = np.arange(1, 1001) * 2.0**-53
+        for f in np.concatenate([rng.uniform(0.5, 1.0, 2000), 1.0 - near, 0.5 + near]):
+            assert distill_pair(f, f).out_fidelity >= f
+
     def test_improves_above_half(self):
         for f1, f2 in [(0.6, 0.7), (0.55, 0.95), (0.75, 0.75)]:
             assert distill_pair(f1, f2).out_fidelity > min(f1, f2)
@@ -110,7 +122,7 @@ class TestNestedDistill:
             assert dist.outcomes == expected
 
     @pytest.mark.parametrize("policy", DISTILLING)
-    @pytest.mark.parametrize("links", range(6))
+    @pytest.mark.parametrize("links", range(11))
     def test_matches_event_tree(self, policy, links):
         for fidelity in (0.55, 0.7, 0.84, 0.95, 1.0):
             expected = event_tree_distill(fidelity, links, policy)
@@ -125,6 +137,10 @@ class TestNestedDistill:
         for policy in DISTILLING:
             total = sum(p for _, p in nested_distill(0.77, links, policy).outcomes)
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_normalisation_at_a_thousand_links(self):
+        total = math.fsum(p for _, p in nested_distill(0.9, 1000, LeftoverPolicy.KEEP).outcomes)
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_strict_improvement_of_survivors(self):
         for links in (2, 3, 4, 5):
@@ -168,6 +184,22 @@ class TestLinkCountDistribution:
 
 
 class TestPerSensorOutcome:
+    @pytest.mark.parametrize("policy", DISTILLING)
+    def test_equals_mixture_of_per_count_laws(self, policy):
+        # Monte Carlo samples the per-count laws, enumeration the composed one
+        for fidelity in (0.3, 0.55, 0.7, 0.9, 0.99, 1.0):
+            for p in (0.05, 0.3, 0.7, 1.0):
+                for k in range(1, 9):
+                    mixture = defaultdict(float)
+                    for links, weight in enumerate(snapshot_distribution(k, p)):
+                        for fid, prob in nested_distill(fidelity, links, policy).outcomes:
+                            mixture[fid] += weight * prob
+                    support = {fid for fid, prob in mixture.items() if prob > 0.0}
+                    got = per_sensor_outcome_distribution(fidelity, p, k, policy)
+                    assert set(got.fidelities()) == support
+                    for fid, prob in got.outcomes:
+                        assert prob == pytest.approx(mixture[fid], abs=1e-15)
+
     def test_composition(self):
         dist = per_sensor_outcome_distribution(0.7, 0.5, 2)
         counts = snapshot_distribution(2, 0.5)
@@ -236,8 +268,40 @@ class TestDistilledAverage:
         best_raw = ftmbl_avg_qfi(cfg, 3, PartitionPolicy.OPTIMAL).mean
         assert best_raw == pytest.approx(0.2, abs=1e-12)
 
-    def test_enumeration_caps(self):
-        with pytest.raises(SizeLimitError):
-            ftmbl_distilled_avg_qfi(NetworkConfig(9, 0.5, 0.9), 2)
-        with pytest.raises(SizeLimitError):
-            ftmbl_distilled_avg_qfi(NetworkConfig(5, 0.5, 0.9), 6)
+    @pytest.mark.parametrize("sensors,k", [(9, 2), (5, 6), (50, 3)])
+    def test_formerly_capped_cells_match_monte_carlo(self, sensors, k):
+        cfg = NetworkConfig(sensors, 0.4, 0.9)
+        for policy in DISTILLING:
+            exact = ftmbl_distilled_avg_qfi(cfg, k, policy).mean
+            mc = ftmbl_distilled_avg_qfi(
+                cfg, k, policy, method=DistillMethod.MONTE_CARLO, trials=1 << 17, seed=29
+            )
+            assert abs(mc.mean - exact) < 4 * mc.std_error
+
+    def test_multiset_bound(self):
+        cfg = NetworkConfig(200, 0.5, 0.9)
+        outcomes = len(per_sensor_outcome_distribution(0.9, 0.5, 8).outcomes)
+        multisets = math.comb(200 + outcomes - 1, outcomes - 1)
+        assert multisets > _MAX_MULTISETS
+        with pytest.raises(SizeLimitError, match=f"{multisets:,}.*{_MAX_MULTISETS:,}"):
+            ftmbl_distilled_avg_qfi(cfg, 8)
+
+
+class TestMaximalQfiKernel:
+    def test_matches_snapshot_qfi_werner(self):
+        # High-fidelity alphabets keep C m^2 away from m, where S + C m^2 - m
+        # cancels and the two kernels' float orders part at that level.
+        rng = np.random.default_rng(5)
+        eig = EigenSpec(0.0, 1.7)
+        for _ in range(300):
+            sensors = int(rng.integers(2, 41))
+            high = sorted(rng.uniform(0.9, 1.0, size=int(rng.integers(1, 6))), reverse=True)
+            fids = np.array(high + [0.6, 0.5, 0.0])
+            counts = rng.multinomial(sensors, rng.dirichlet(np.ones(len(fids))))
+            got = _maximal_qfi(counts[None, :], fids, sensors, eig.gap_squared)[0]
+            links = [f for f, c in zip(fids, counts) for _ in range(c) if f > 0.5]
+            rng.shuffle(links)
+            groups = [links] if len(links) >= 2 else []
+            part = GhzPartition(tuple(len(g) for g in groups), sensors)
+            expected = snapshot_qfi_werner(sensors, part, groups, eig)
+            assert got == pytest.approx(expected, rel=1e-14)

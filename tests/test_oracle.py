@@ -155,6 +155,13 @@ class TestDenseState:
         with pytest.raises(ValueError):
             DenseState(np.array([[0.5, 0.8j], [-0.8j, 0.5]]))
 
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_rejects_nan(self, entry):
+        mat = np.eye(2) / 2
+        mat[entry] = np.nan
+        with pytest.raises(ValueError):
+            DenseState(mat)
+
     def test_keeps_complex_dtype_for_real_input(self):
         assert DenseState(np.eye(2) / 2).matrix.dtype == complex
 
@@ -490,6 +497,12 @@ class TestMeasurementCfi:
         else:
             with pytest.raises(ValueError, match="positive semidefinite"):
                 _validate_povm(elems, dim)
+
+    def test_rejects_nan(self):
+        element = np.eye(2) / 2
+        element[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            _validate_povm([element, np.eye(2) / 2], 2)
 
     def test_large_trace_falls_back_to_eigenvalues(self):
         identity = [np.eye(1024)]
