@@ -1,13 +1,16 @@
 """Shared Monte Carlo plumbing: counter-based streams and chunked trials.
 
-Trials are split into fixed-size chunks; chunk i draws from a Philox
-stream keyed by (seed, i), with a per-instance stream id in the counter
-block so different simulated instances never share randomness.  Chunk
-layout depends only on the trial count, and chunk sums are combined in
-index order with exact summation, so results are identical under any
-thread count.  The variance pools per-chunk sums of squared deviations
-with the Chan-Golub-LeVeque update, also in index order, so a low- or
-zero-variance estimate does not lose its digits to cancellation.
+A chunk's kernel draws each trial's link counts directly (a binomial, a
+Beta order statistic plus a binomial, or a multinomial; see the protocol
+samplers) and returns one per-slot QFI average per trial.  Trials are
+split into fixed-size chunks; chunk i draws from a Philox stream keyed by
+(seed, i), with a per-instance stream id in the counter block so different
+simulated instances never share randomness.  Chunk layout depends only on
+the trial count, and chunk sums are combined in index order with exact
+summation, so results are identical under any thread count.  The variance
+pools per-chunk sums of squared deviations with the Chan-Golub-LeVeque
+update, also in index order, so a low- or zero-variance estimate does not
+lose its digits to cancellation.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 CHUNK_TRIALS = 1 << 16
-MAX_SLOTS = 1_000_000
 UINT64_MASK = (1 << 64) - 1
 
 

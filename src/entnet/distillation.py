@@ -214,7 +214,7 @@ def _maximal_qfi(
     diff, plus, minus = (bases[:, None, :] ** grouped_counts).prod(axis=2)
     # |diff| <= plus, so where both weights underflow to 0, C is 0 as well
     c = np.divide(diff * diff, plus + minus, out=np.zeros_like(plus), where=plus > 0.0)
-    grouped = sensors + c * m * m - m
+    grouped = (sensors - m) + c * m * m
     return gap2 * np.where(m >= 2, grouped, float(sensors)) / (sensors * sensors)
 
 
@@ -227,34 +227,23 @@ def simulate_distilled_block_protocol(
     seed: int,
     threads: int | None = None,
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the distilled block protocol."""
+    """Monte Carlo mean and standard error of the distilled block protocol.
+
+    Sensors are independent, so each trial draws how many of them end on each
+    value of the per-sensor outcome law as one multinomial count vector.
+    """
     sensors, p = cfg.sensors, cfg.link_prob
     gap2 = cfg.eig.gap_squared
     local = gap2 / sensors
-    laws = [nested_distill(cfg.fidelity, links, policy) for links in range(k + 1)]
-    alphabet = np.array(sorted({f for law in laws for f in law.fidelities()}, reverse=True))
-    tables = []
-    for law in laws:
-        positions = np.isin(alphabet, law.fidelities()).nonzero()[0]
-        tables.append((np.cumsum([pr for _, pr in law.outcomes]), positions))
+    law = per_sensor_outcome_distribution(cfg.fidelity, p, k, policy)
+    fids = np.array(law.fidelities())
+    probs = np.array([pr for _, pr in law.outcomes])
     stream = _mc.instance_stream("distilled", sensors, p, cfg.fidelity, k, policy.value)
 
     def run_chunk(index: int, size: int) -> np.ndarray:
         gen = _mc.chunk_generator(seed, index, stream)
-        link_counts = gen.binomial(k, p, size=(size, sensors))
-        uniforms = gen.random((size, sensors))
-        slots = np.zeros((size, sensors), dtype=np.intp)
-        for links in range(k + 1):
-            sel = link_counts == links
-            cums, vals = tables[links]
-            picks = np.minimum(
-                np.searchsorted(cums, uniforms[sel], side="right"), len(vals) - 1
-            )
-            slots[sel] = vals[picks]
-        # one bincount over trial-offset slots gives every trial's count vector
-        slots += len(alphabet) * np.arange(size)[:, None]
-        counts = np.bincount(slots.ravel(), minlength=size * len(alphabet)).reshape(size, -1)
-        return ((k - 1) * local + _maximal_qfi(counts, alphabet, sensors, gap2)) / k
+        counts = gen.multinomial(sensors, probs, size)
+        return ((k - 1) * local + _maximal_qfi(counts, fids, sensors, gap2)) / k
 
     return _mc.run_chunked_trials(run_chunk, trials, resolve_threads(threads))
 

@@ -4,7 +4,9 @@ Three ways to spend time slots: sense immediately with whatever links the
 last attempt produced, accumulate successes over a fixed block of k slots,
 or wait until at least mu sensors hold links.  Each protocol has an
 analytic evaluation (closed form or truncated series) plus a seeded Monte
-Carlo simulation used as a cross-check.
+Carlo estimate used as a cross-check.  The snapshot QFI reads only link
+counts, so each Monte Carlo trial samples those counts from their exact
+law instead of simulating sensors slot by slot.
 """
 
 from __future__ import annotations
@@ -431,17 +433,15 @@ def _mc_block_protocol(
     seed: int,
     threads: int | None,
 ) -> tuple[float, float]:
+    """Each trial draws the block's link count M ~ Binomial(S, 1 - (1-p)^k)."""
     sensors, p = cfg.sensors, cfg.link_prob
     local = cfg.eig.gap_squared / sensors
+    p_eff = 1.0 if p == 1.0 else -math.expm1(k * math.log1p(-p))
     stream = _mc.instance_stream("block", sensors, p, cfg.fidelity, k)
 
     def run_chunk(index: int, size: int) -> np.ndarray:
         gen = _mc.chunk_generator(seed, index, stream)
-        linked = np.zeros((size, sensors), dtype=bool)
-        for _slot in range(k):
-            linked |= gen.random((size, sensors)) < p
-        values = ((k - 1) * local + qfi_by_m[linked.sum(axis=1)]) / k
-        return values
+        return ((k - 1) * local + qfi_by_m[gen.binomial(sensors, p_eff, size)]) / k
 
     return _mc.run_chunked_trials(run_chunk, trials, resolve_threads(threads))
 
@@ -454,34 +454,28 @@ def _mc_waiting_protocol(
     seed: int,
     threads: int | None,
 ) -> tuple[float, float]:
+    """Each trial draws its stopping slot T and link count M directly.
+
+    A sensor whose uniform is V first links at slot ceil(ln V / ln(1-p)), so
+    T is the slot of W, the mu-th largest of the S uniforms, and
+    W ~ Beta(S - mu + 1, mu).  Given W the other S - mu uniforms are iid on
+    (0, W), and each is linked by slot T with odds 1 - (1-p)^T / W.
+    """
     sensors, p = cfg.sensors, cfg.link_prob
     if p == 0.0:
         raise ValueError("the waiting protocol never stops when links cannot form")
     local = cfg.eig.gap_squared / sensors
+    log_q = -math.inf if p == 1.0 else math.log1p(-p)
     stream = _mc.instance_stream("waiting", sensors, p, cfg.fidelity, mu)
 
     def run_chunk(index: int, size: int) -> np.ndarray:
         gen = _mc.chunk_generator(seed, index, stream)
-        linked = np.zeros((size, sensors), dtype=bool)
-        stop_t = np.zeros(size, dtype=np.int64)
-        stop_m = np.zeros(size, dtype=np.int64)
-        active = np.arange(size)
-        t = 0
-        while active.size:
-            t += 1
-            if t > _mc.MAX_SLOTS:
-                raise ConvergenceError(
-                    f"waiting protocol did not stop within {_mc.MAX_SLOTS} slots"
-                )
-            linked[active] |= gen.random((active.size, sensors)) < p
-            counts = linked[active].sum(axis=1)
-            done = counts >= mu
-            stopped = active[done]
-            stop_t[stopped] = t
-            stop_m[stopped] = counts[done]
-            active = active[~done]
-        values = ((stop_t - 1) * local + qfi_by_m[stop_m]) / stop_t
-        return values
+        log_w = np.log(gen.beta(sensors - mu + 1, mu, size))
+        stop_t = np.maximum(1.0, np.ceil(log_w / log_q))
+        # ln((1-p)^T / W) <= 0 up to rounding
+        late = -np.expm1(np.minimum(stop_t * log_q - log_w, 0.0))
+        stop_m = mu + gen.binomial(sensors - mu, late)
+        return ((stop_t - 1) * local + qfi_by_m[stop_m]) / stop_t
 
     return _mc.run_chunked_trials(run_chunk, trials, resolve_threads(threads))
 
@@ -495,14 +489,17 @@ def monte_carlo_avg_qfi(
     seed: int,
     threads: int | None = None,
 ) -> AvgQfiEstimate:
-    """Simulate a protocol in slotted time and average the per-slot QFI.
+    """Estimate a protocol's average per-slot QFI by sampling its link counts.
 
-    Each trial covers one sensing block (k slots, or the random wait for
-    mu links) and contributes the block's per-slot QFI average, matching
-    the analytic definitions.  Results are deterministic for a fixed
-    (seed, trials) pair whatever the thread count.  Distilled blocks are
-    simulated with MAXIMAL grouping only; any other policy raises
-    ``ValueError``.
+    Each trial is one sensing block (k slots, or the random wait for mu
+    links) and contributes the block's per-slot QFI average, matching the
+    analytic definitions.  A trial never steps through slots: it draws the
+    block's link count (binomial), the stopping slot and link count of the
+    wait (a Beta order statistic plus a binomial), or how many sensors end
+    on each distilled fidelity (multinomial), so its cost does not grow
+    with k or 1/p.  Results are deterministic for a fixed (seed, trials)
+    pair whatever the thread count.  Distilled blocks are simulated with
+    MAXIMAL grouping only; any other policy raises ``ValueError``.
     """
     if not 0 <= seed <= _mc.UINT64_MASK:
         raise ValueError("seed must fit in an unsigned 64-bit integer")

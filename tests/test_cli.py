@@ -71,6 +71,16 @@ class TestBasics:
         row = text.strip().splitlines()[-1].split(",")
         assert (row[5], row[6]) == ("series", "0.0646239617193")
 
+    def test_vtmbl_monte_carlo_at_tiny_p(self, tmp_path):
+        # the wait lasts about 23,000 slots; the sampler never steps through them
+        code, text = run_to_file(
+            tmp_path, "v.csv",
+            ["protocol-sweep", "--protocol", "vtmbl", "--s", "5", "--mu", "5", "--p", "1e-4",
+             "--f", "1.0", "--method", "mc", "--trials", "100000", "--seed", "3"],
+        )
+        assert code == 0
+        assert len(text.strip().splitlines()) == 3
+
     def test_distill_distribution(self, tmp_path):
         code, text = run_to_file(
             tmp_path, "di.csv",

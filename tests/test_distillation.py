@@ -3,6 +3,7 @@
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,7 +187,8 @@ class TestLinkCountDistribution:
 class TestPerSensorOutcome:
     @pytest.mark.parametrize("policy", DISTILLING)
     def test_equals_mixture_of_per_count_laws(self, policy):
-        # Monte Carlo samples the per-count laws, enumeration the composed one
+        # Monte Carlo and enumeration both read only the composed law, so
+        # this is the one check of it against the per-count laws
         for fidelity in (0.3, 0.55, 0.7, 0.9, 0.99, 1.0):
             for p in (0.05, 0.3, 0.7, 1.0):
                 for k in range(1, 9):
@@ -289,8 +291,9 @@ class TestDistilledAverage:
 
 class TestMaximalQfiKernel:
     def test_matches_snapshot_qfi_werner(self):
-        # High-fidelity alphabets keep C m^2 away from m, where S + C m^2 - m
-        # cancels and the two kernels' float orders part at that level.
+        # High-fidelity alphabets keep C m^2 away from m, where
+        # snapshot_qfi_werner's S + C m^2 - m cancels and this kernel's
+        # (S - m) + C m^2 does not.
         rng = np.random.default_rng(5)
         eig = EigenSpec(0.0, 1.7)
         for _ in range(300):
@@ -305,3 +308,12 @@ class TestMaximalQfiKernel:
             part = GhzPartition(tuple(len(g) for g in groups), sensors)
             expected = snapshot_qfi_werner(sensors, part, groups, eig)
             assert got == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("fidelity", [0.7, 0.6])
+    def test_one_large_group_does_not_cancel(self, fidelity):
+        # all 40 sensors in one group that gains almost nothing: the QFI is C
+        sensors = 40
+        x = (4 * Fraction(fidelity) - 1) / 3
+        exact = x ** (2 * sensors) / (((1 + x) / 2) ** sensors + ((1 - x) / 2) ** sensors)
+        got = _maximal_qfi(np.array([[sensors]]), np.array([fidelity]), sensors, 1.0)[0]
+        assert got == pytest.approx(float(exact), rel=1e-14)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,15 +260,44 @@ class TestVtmblMuOpt:
         assert spread(10, 0.3) > 5e-2
 
 
+def trial_values(monkeypatch, simulate):
+    """``simulate()``'s result and its per-trial values, captured chunk by chunk."""
+    from entnet import _mc
+
+    chunks = []
+    moments = _mc.chunk_moments
+
+    def spy(values):
+        chunks.append(values.copy())
+        return moments(values)
+
+    monkeypatch.setattr(_mc, "chunk_moments", spy)
+    result = simulate()
+    return result, np.concatenate(chunks)
+
+
+def assert_cell_frequencies(observed, trials, law):
+    """Each cell's frequency lies within 4 binomial standard errors of its law."""
+    for cell, prob in law.items():
+        freq = observed.get(cell, 0) / trials
+        assert abs(freq - prob) <= 4 * math.sqrt(prob * (1 - prob) / trials), (cell, freq, prob)
+
+
 class TestMonteCarlo:
     def test_thread_count_does_not_change_result(self):
-        cfg = NetworkConfig(5, 0.5)
-        spec = ProtocolSpec.fixed_tmbl(3)
+        cfg = NetworkConfig(5, 0.5, 0.9)
         kwargs = dict(trials=150_000, seed=42)
-        one = monte_carlo_avg_qfi(cfg, spec, threads=1, **kwargs)
-        four = monte_carlo_avg_qfi(cfg, spec, threads=4, **kwargs)
-        assert one.mean == four.mean
-        assert one.std_error == four.std_error
+        for spec in (
+            ProtocolSpec.immediate(),
+            ProtocolSpec.fixed_tmbl(3),
+            ProtocolSpec.variable_tmbl(3),
+            ProtocolSpec.fixed_tmbl(3, LeftoverPolicy.DISCARD),
+            ProtocolSpec.fixed_tmbl(3, LeftoverPolicy.KEEP),
+        ):
+            one = monte_carlo_avg_qfi(cfg, spec, threads=1, **kwargs)
+            for threads in (2, 4):
+                many = monte_carlo_avg_qfi(cfg, spec, threads=threads, **kwargs)
+                assert (one.mean, one.std_error) == (many.mean, many.std_error), (spec, threads)
 
     def test_seed_changes_result(self):
         cfg = NetworkConfig(5, 0.5)
@@ -290,21 +320,11 @@ class TestMonteCarlo:
         assert est.std_error == 0.0
 
     def test_std_error_matches_two_pass_reference(self, monkeypatch):
-        from entnet import _mc
-
-        chunks = []
-        moments = _mc.chunk_moments
-
-        def spy(values):
-            chunks.append(values.copy())
-            return moments(values)
-
-        monkeypatch.setattr(_mc, "chunk_moments", spy)
         # two distinct trial values; sum-of-squares pooling is wrong here
         # from the 7th digit
-        est = monte_carlo_avg_qfi(NetworkConfig(10, 0.99, 0.97), ProtocolSpec.fixed_tmbl(3),
-                                  trials=200_000, seed=11, threads=1)
-        values = np.concatenate(chunks)
+        est, values = trial_values(monkeypatch, lambda: monte_carlo_avg_qfi(
+            NetworkConfig(10, 0.99, 0.97), ProtocolSpec.fixed_tmbl(3),
+            trials=200_000, seed=11, threads=1))
         assert values.size == 200_000 and len(np.unique(values)) > 1
         mean = math.fsum(values) / values.size
         assert est.mean == pytest.approx(mean, rel=1e-15)
@@ -368,6 +388,77 @@ class TestMonteCarlo:
         monkeypatch.setenv("ENTNET_THREADS", "1")
         b = monte_carlo_avg_qfi(cfg, spec, trials=80_000, seed=9)
         assert a.mean == b.mean
+
+
+
+class TestCountSamplers:
+    # The samplers draw link counts, not per-sensor slots.  A table that
+    # encodes the count as 1000 + m makes every trial value decodable.
+    TRIALS = 1 << 20
+
+    def test_block_link_count_law(self, monkeypatch):
+        from entnet.protocols import _mc_block_protocol
+
+        sensors, p, k = 6, 0.2, 3
+        cfg = NetworkConfig(sensors, p)
+        table = 1000.0 + np.arange(sensors + 1)
+        local = 1 / sensors
+        _, values = trial_values(monkeypatch, lambda: _mc_block_protocol(
+            cfg, k, table, self.TRIALS, 5, 1))
+        counts = np.rint(values * k - (k - 1) * local).astype(int) - 1000
+        assert np.allclose(((k - 1) * local + 1000.0 + counts) / k, values, rtol=0, atol=1e-12)
+        law = snapshot_distribution(sensors, 1 - (1 - p) ** k)
+        observed = dict(zip(*np.unique(counts, return_counts=True)))
+        assert set(observed) <= set(range(sensors + 1))
+        assert_cell_frequencies(observed, self.TRIALS, dict(enumerate(law)))
+
+    def test_waiting_stopping_law(self, monkeypatch):
+        from entnet.protocols import _mc_waiting_protocol
+
+        sensors, p, mu = 4, 0.35, 2
+        cfg = NetworkConfig(sensors, p)
+        table = 1000.0 + np.arange(sensors + 1)
+        local = 1 / sensors
+        _, values = trial_values(monkeypatch, lambda: _mc_waiting_protocol(
+            cfg, mu, table, self.TRIALS, 6, 1))
+        # value = local + (1000 + m - local) / t; the t-ranges are disjoint
+        stop_t = np.rint((1000 + sensors / 2 - local) / (values - local))
+        stop_m = np.rint((values - local) * stop_t + local).astype(int) - 1000
+        decoded = ((stop_t - 1) * local + 1000.0 + stop_m) / stop_t
+        assert np.allclose(decoded, values, rtol=0, atol=1e-12)
+        assert stop_t.min() >= 1 and mu <= stop_m.min() and stop_m.max() <= sensors
+        cells, freq = np.unique(stop_t.astype(int) * 10 + stop_m, return_counts=True)
+        observed = {divmod(int(cell), 10): n for cell, n in zip(cells, freq)}
+        law = {(t, m): vtmbl_joint_prob(sensors, p, mu, t, m)
+               for t in range(1, 7) for m in range(mu, sensors + 1)}
+        assert_cell_frequencies(observed, self.TRIALS, law)
+
+    def test_tiny_p_matches_series(self):
+        # a slot-by-slot simulation would step through about 2,000 slots here
+        cfg = NetworkConfig(5, 1e-3)
+        est = monte_carlo_avg_qfi(cfg, ProtocolSpec.variable_tmbl(5),
+                                  trials=1 << 17, seed=8)
+        series = vtmbl_avg_qfi(cfg, 5).mean
+        assert abs(est.mean - series) < 4 * est.std_error
+
+    def test_vanishing_p_stays_under_the_bound(self):
+        # the series gives up here; the sampler's cost does not depend on p
+        est = monte_carlo_avg_qfi(NetworkConfig(5, 1e-6), ProtocolSpec.variable_tmbl(5),
+                                  trials=1 << 17, seed=8)
+        assert 0.0 < est.mean <= qfi_upper_bound(5, 1e-6) + 4 * est.std_error
+
+    @pytest.mark.parametrize("fidelity", [1.0, 0.77])
+    def test_unit_p_links_everyone_at_once(self, monkeypatch, fidelity):
+        cfg = NetworkConfig(6, 1.0, fidelity)
+        full = _qfi_by_link_count(6, fidelity, PartitionPolicy.MAXIMAL, EigenSpec())[6]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, values = trial_values(monkeypatch, lambda: monte_carlo_avg_qfi(
+                cfg, ProtocolSpec.variable_tmbl(3), trials=100_000, seed=4))
+        assert (values == full).all()
+        # the pooled mean of a constant may round by one ulp
+        assert est.mean == pytest.approx(full, rel=1e-15, abs=0)
+        assert est.std_error == 0.0
 
 
 class TestUpperBound:
