@@ -68,9 +68,10 @@ def run_chunked_trials(
     trials: int,
     workers: int,
 ) -> tuple[float, float]:
-    """Map ``run_chunk(index, size) -> per-trial values``; pool mean and std error."""
-    if trials < 2:
-        raise ValueError(f"a standard error needs at least 2 trials, got {trials}")
+    """Map ``run_chunk(index, size) -> per-trial values``; pool mean and std error.
+
+    Needs trials >= 2, which ``monte_carlo_avg_qfi`` checks.
+    """
     sizes = chunk_sizes(trials)
 
     def moments(index: int, size: int) -> tuple[int, float, float, float]:

@@ -61,6 +61,10 @@ REPRODUCE_IDS = (
 
 _DEFAULT_SEED = 20240901
 
+# The protocol-sweep `method` column names the evaluation that ran.
+_METHOD_LABELS = {EstimateMethod.CLOSED_FORM: "closed", EstimateMethod.TRUNCATED_SERIES: "series",
+                  EstimateMethod.ENUMERATION: "enumeration", EstimateMethod.MONTE_CARLO: "mc"}
+
 
 # --- formatting & parsing ----------------------------------------------------
 
@@ -282,7 +286,7 @@ def _cmd_protocol_sweep(args) -> int:
         est = _protocol_estimate(args, protocol, cfg, par)
         rows.append(
             (protocol, s, p, f, par if protocol != "immediate" else "-",
-             args.method, est.mean, est.std_error, est.trials)
+             _METHOD_LABELS[est.method], est.mean, est.std_error, est.trials)
         )
     header = ("protocol", "s", "p", "f", "param", "method", "mean", "std_error", "trials")
     params_meta = {
@@ -529,12 +533,6 @@ def _add_common(sub):
     sub.add_argument("--config", help="key=value file; explicit flags override it")
 
 
-def _add_monte_carlo(sub, seed_default=None):
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: ENTNET_THREADS or CPU count)")
-    sub.add_argument("--seed", type=int, default=seed_default, help="Monte Carlo seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entnet",
@@ -574,8 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--policy", choices=("maximal", "optimal"), default="maximal")
     ps.add_argument("--method", choices=("closed", "series", "mc"), default="series")
     ps.add_argument("--trials", type=int, default=1_000_000)
+    ps.add_argument("--threads", type=int, default=None,
+                    help="worker threads (default: ENTNET_THREADS or CPU count)")
+    ps.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
     _add_common(ps)
-    _add_monte_carlo(ps)
     ps.set_defaults(func=_cmd_protocol_sweep)
 
     di = subs.add_parser("distill", help="final-fidelity distribution after distillation")
@@ -609,8 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = subs.add_parser("reproduce", help="emit a reference figure/table data grid")
     rp.add_argument("id", choices=REPRODUCE_IDS)
+    rp.add_argument("--seed", type=int, default=_DEFAULT_SEED,
+                    help="echoed in the metadata line; no reproduce id samples")
     _add_common(rp)
-    _add_monte_carlo(rp, seed_default=_DEFAULT_SEED)
     rp.set_defaults(func=_cmd_reproduce)
 
     return parser

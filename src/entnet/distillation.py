@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain, combinations
 from typing import Iterable
 
@@ -30,6 +29,8 @@ from .protocols import (
     EstimateMethod,
     LeftoverPolicy,
     NetworkConfig,
+    ProtocolSpec,
+    monte_carlo_avg_qfi,
     resolve_threads,
     snapshot_distribution,
 )
@@ -42,7 +43,6 @@ __all__ = [
     "nested_distill",
     "per_sensor_outcome_distribution",
     "ftmbl_distilled_avg_qfi",
-    "simulate_distilled_block_protocol",
 ]
 
 # Bound on the C(S+L-1, L-1) count vectors exact enumeration visits.
@@ -52,9 +52,8 @@ _MAX_MULTISETS = 1_000_000
 _USABLE_FIDELITY = 0.5
 
 
-class DistillMethod(Enum):
-    ENUMERATION = "enumeration"
-    MONTE_CARLO = "monte_carlo"
+# Only because bench/workloads.py spells ``en.DistillMethod.MONTE_CARLO``.
+DistillMethod = EstimateMethod
 
 
 @dataclass(frozen=True)
@@ -218,14 +217,13 @@ def _maximal_qfi(
     return gap2 * np.where(m >= 2, grouped, float(sensors)) / (sensors * sensors)
 
 
-def simulate_distilled_block_protocol(
+def _mc_distilled_protocol(
     cfg: NetworkConfig,
     k: int,
     policy: LeftoverPolicy,
-    *,
     trials: int,
     seed: int,
-    threads: int | None = None,
+    threads: int | None,
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the distilled block protocol.
 
@@ -253,7 +251,7 @@ def ftmbl_distilled_avg_qfi(
     k: int,
     policy: LeftoverPolicy = LeftoverPolicy.DISCARD,
     *,
-    method: DistillMethod = DistillMethod.ENUMERATION,
+    method: EstimateMethod = EstimateMethod.ENUMERATION,
     trials: int = 1_000_000,
     seed: int | None = None,
     threads: int | None = None,
@@ -263,25 +261,22 @@ def ftmbl_distilled_avg_qfi(
     Every sensor independently collects a binomial number of links over the
     block, distills them, and the hub groups all sensors whose final link
     survived above fidelity 1/2 into one maximal GHZ projection; the first
-    k - 1 slots of the block sense locally.  Enumeration sums the exact
+    k - 1 slots of the block sense locally.  ENUMERATION sums the exact
     multinomial over the C(S+L-1, L-1) count vectors of the level
-    programme's L-value law, up to 1,000,000; Monte Carlo does the rest.
+    programme's L-value law, up to 1,000,000; MONTE_CARLO is
+    ``monte_carlo_avg_qfi(cfg, ProtocolSpec.fixed_tmbl(k, policy), ...)``.
+    Policy NONE does not distill and raises ``ValueError``.
     """
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
+    if policy is LeftoverPolicy.NONE:
+        raise ValueError("policy NONE does not distill; use ftmbl_avg_qfi")
+    if method is EstimateMethod.MONTE_CARLO:
+        return monte_carlo_avg_qfi(
+            cfg, ProtocolSpec.fixed_tmbl(k, policy), trials=trials, seed=seed, threads=threads
+        )
+    if method is not EstimateMethod.ENUMERATION:
+        raise ValueError(f"distilled averages are enumerated or sampled, not {method.name}")
     local = cfg.eig.gap_squared / cfg.sensors
-    if method is DistillMethod.ENUMERATION:
-        block = _enumerated_block_qfi(cfg, k, policy)
-        return AvgQfiEstimate(mean=((k - 1) * local + block) / k)
-    if seed is None:
-        raise ValueError("Monte Carlo evaluation requires a seed")
-    mean, err = simulate_distilled_block_protocol(
-        cfg, k, policy, trials=trials, seed=seed, threads=threads
-    )
-    return AvgQfiEstimate(
-        mean=mean,
-        std_error=err,
-        trials=trials,
-        method=EstimateMethod.MONTE_CARLO,
-        seed=seed,
-    )
+    block = _enumerated_block_qfi(cfg, k, policy)
+    return AvgQfiEstimate(mean=((k - 1) * local + block) / k, method=EstimateMethod.ENUMERATION)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -75,9 +75,12 @@ class LeftoverPolicy(Enum):
 
 
 class EstimateMethod(Enum):
-    CLOSED_FORM = "closed_form"
-    TRUNCATED_SERIES = "truncated_series"
-    MONTE_CARLO = "monte_carlo"
+    """How an average was obtained; every ``AvgQfiEstimate`` names what ran."""
+
+    CLOSED_FORM = "closed_form"  # an explicit formula for the average
+    TRUNCATED_SERIES = "truncated_series"  # stopping-time law summed to _TAIL_TOL
+    MONTE_CARLO = "monte_carlo"  # sampled, with a standard error
+    ENUMERATION = "enumeration"  # exact sum over link counts or count vectors
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,8 @@ class AvgQfiEstimate:
     mean: float
     std_error: float = 0.0
     trials: int = 0
-    method: EstimateMethod = EstimateMethod.CLOSED_FORM
     seed: int | None = None
+    method: EstimateMethod = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.std_error < 0.0:
@@ -180,12 +183,12 @@ def snapshot_distribution(sensors: int, p_eff: float) -> np.ndarray:
         raise ValueError(f"need at least 1 sensor, got {sensors}")
     if not 0.0 <= p_eff <= 1.0:
         raise ValueError(f"success probability must be in [0, 1], got {p_eff}")
-    return np.array(
-        [
-            math.comb(sensors, m) * p_eff**m * (1.0 - p_eff) ** (sensors - m)
-            for m in range(sensors + 1)
-        ]
-    )
+    return np.array([_binomial_pmf(sensors, p_eff, m) for m in range(sensors + 1)])
+
+
+def _binomial_pmf(n: int, p: float, m: int) -> float:
+    """P(Binomial(n, p) = m), unchecked."""
+    return math.comb(n, m) * p**m * (1.0 - p) ** (n - m)
 
 
 def _qfi_by_link_count(
@@ -220,7 +223,8 @@ def ftmbl_avg_qfi(
     The first k - 1 slots of each block sense locally; the final slot uses
     the accumulated links, whose count is binomial with effective success
     probability 1 - (1 - p)^k.  With perfect links and the maximal grouping
-    this collapses to gap^2/S * (1 + (S-1) (1-(1-p)^k)^2 / k).
+    this collapses to gap^2/S * (1 + (S-1) (1-(1-p)^k)^2 / k), labelled
+    CLOSED_FORM; otherwise the sum over link counts is ENUMERATION.
     """
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
@@ -229,11 +233,11 @@ def ftmbl_avg_qfi(
     p_eff = 1.0 - (1.0 - cfg.link_prob) ** k
     if cfg.fidelity == 1.0 and partition_policy is PartitionPolicy.MAXIMAL:
         mean = gap2 / sensors * (1.0 + (sensors - 1) * p_eff**2 / k)
-        return AvgQfiEstimate(mean=mean)
+        return AvgQfiEstimate(mean=mean, method=EstimateMethod.CLOSED_FORM)
     local = gap2 / sensors
     qfi_by_m = _qfi_by_link_count(sensors, cfg.fidelity, partition_policy, cfg.eig)
     block = float(snapshot_distribution(sensors, p_eff) @ qfi_by_m)
-    return AvgQfiEstimate(mean=((k - 1) * local + block) / k)
+    return AvgQfiEstimate(mean=((k - 1) * local + block) / k, method=EstimateMethod.ENUMERATION)
 
 
 def immediate_avg_qfi(
@@ -293,9 +297,9 @@ def vtmbl_joint_prob(sensors: int, p: float, mu: int, t: int, m: int) -> float:
         raise ValueError(f"timestep must be >= 1, got {t}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"success probability must be in (0, 1], got {p}")
-    pbar = 1.0 - p
     if t == 1:
-        return math.comb(sensors, m) * p**m * pbar ** (sensors - m)
+        return _binomial_pmf(sensors, p, m)
+    pbar = 1.0 - p
     tail = 0.0
     for j in range(m - mu + 1, m + 1):
         tail += (
@@ -362,34 +366,25 @@ def vtmbl_avg_qfi(
     cfg: NetworkConfig,
     mu: int,
     method: EstimateMethod = EstimateMethod.TRUNCATED_SERIES,
-    *,
-    trials: int = 1_000_000,
-    seed: int | None = None,
-    threads: int | None = None,
 ) -> AvgQfiEstimate:
-    """Average QFI of the wait-for-mu-links protocol.
+    """Average QFI of the wait-for-mu-links protocol: TRUNCATED_SERIES or CLOSED_FORM.
 
-    Perfect links are assumed for the analytic methods.  mu of 0 or 1
-    never waits, which is the immediate protocol, and is delegated there.
+    Both assume perfect links; Monte Carlo is ``monte_carlo_avg_qfi``.  mu
+    of 0 or 1 never waits, which is the immediate protocol, and is
+    delegated there.
     """
+    if method not in (EstimateMethod.TRUNCATED_SERIES, EstimateMethod.CLOSED_FORM):
+        raise ValueError(f"vtmbl_avg_qfi is analytic, not {method.name}; see monte_carlo_avg_qfi")
     if mu > cfg.sensors:
         raise ValueError(f"mu={mu} cannot exceed the sensor count {cfg.sensors}")
     if mu <= 1:
         return immediate_avg_qfi(cfg)
     if cfg.link_prob == 0.0:
         raise ValueError("the waiting protocol never stops when links cannot form")
-    if method is EstimateMethod.MONTE_CARLO:
-        if seed is None:
-            raise ValueError("Monte Carlo evaluation requires a seed")
-        return monte_carlo_avg_qfi(
-            cfg, ProtocolSpec.variable_tmbl(mu), trials=trials, seed=seed, threads=threads
-        )
     if cfg.fidelity != 1.0:
         raise ValueError("analytic waiting-protocol averages are defined for fidelity 1")
-    if method is EstimateMethod.TRUNCATED_SERIES:
-        mean = _vtmbl_series(cfg, mu)
-        return AvgQfiEstimate(mean=mean, method=EstimateMethod.TRUNCATED_SERIES)
-    return AvgQfiEstimate(mean=_vtmbl_closed_form(cfg, mu))
+    evaluate = _vtmbl_series if method is EstimateMethod.TRUNCATED_SERIES else _vtmbl_closed_form
+    return AvgQfiEstimate(mean=evaluate(cfg, mu), method=method)
 
 
 def vtmbl_mu_opt(
@@ -412,8 +407,10 @@ def vtmbl_mu_opt(
 def qfi_upper_bound(sensors: int, p: float) -> float:
     """Average QFI if every attempt either links all sensors or none.
 
-    Upper-bounds every protocol at unit gap; multiply by gap^2 externally
-    for other gaps.
+    At unit gap (multiply by gap^2 for others) it bounds the fixed-block
+    protocols, since p_eff^2 <= p_eff <= k p.  The waiting protocol
+    averages ((T-1) local + h(M)) / T per block; at S=2, where E[1/T] > p,
+    it exceeds this bound by up to 2.5%.
     """
     if sensors < 1:
         raise ValueError(f"need at least 1 sensor, got {sensors}")
@@ -462,8 +459,6 @@ def _mc_waiting_protocol(
     (0, W), and each is linked by slot T with odds 1 - (1-p)^T / W.
     """
     sensors, p = cfg.sensors, cfg.link_prob
-    if p == 0.0:
-        raise ValueError("the waiting protocol never stops when links cannot form")
     local = cfg.eig.gap_squared / sensors
     log_q = -math.inf if p == 1.0 else math.log1p(-p)
     stream = _mc.instance_stream("waiting", sensors, p, cfg.fidelity, mu)
@@ -498,22 +493,23 @@ def monte_carlo_avg_qfi(
     wait (a Beta order statistic plus a binomial), or how many sensors end
     on each distilled fidelity (multinomial), so its cost does not grow
     with k or 1/p.  Results are deterministic for a fixed (seed, trials)
-    pair whatever the thread count.  Distilled blocks are simulated with
-    MAXIMAL grouping only; any other policy raises ``ValueError``.
+    pair whatever the thread count.  This is the one Monte Carlo entry
+    point, and it checks every input: a 64-bit seed, at least 2 trials,
+    mu <= S and p > 0 to wait, MAXIMAL grouping to distill.
     """
-    if not 0 <= seed <= _mc.UINT64_MASK:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    if seed is None or not 0 <= seed <= _mc.UINT64_MASK:
+        raise ValueError(f"Monte Carlo needs a seed in [0, 2**64), got {seed}")
+    if trials < 2:
+        raise ValueError(f"a standard error needs at least 2 trials, got {trials}")
     if spec.distill_policy is not LeftoverPolicy.NONE:
         if partition_policy is not PartitionPolicy.MAXIMAL:
             raise ValueError(
                 "distilled Monte Carlo groups every linked sensor; "
                 f"{partition_policy.name} grouping with distillation is not defined"
             )
-        from .distillation import simulate_distilled_block_protocol
+        from .distillation import _mc_distilled_protocol
 
-        mean, err = simulate_distilled_block_protocol(
-            cfg, spec.k, spec.distill_policy, trials=trials, seed=seed, threads=threads
-        )
+        mean, err = _mc_distilled_protocol(cfg, spec.k, spec.distill_policy, trials, seed, threads)
     else:
         qfi_by_m = _qfi_by_link_count(cfg.sensors, cfg.fidelity, partition_policy, cfg.eig)
         if spec.kind is ProtocolKind.VARIABLE_TMBL:
@@ -521,6 +517,8 @@ def monte_carlo_avg_qfi(
                 raise ValueError(
                     f"mu={spec.mu} cannot exceed the sensor count {cfg.sensors}"
                 )
+            if cfg.link_prob == 0.0:
+                raise ValueError("the waiting protocol never stops when links cannot form")
             mean, err = _mc_waiting_protocol(
                 cfg, spec.mu, qfi_by_m, trials, seed, threads
             )

@@ -44,3 +44,12 @@ def test_undistilled_spec_reads_none():
     # the tracer labels Monte Carlo spans by `spec.distill_policy.value != "none"`
     assert entnet.ProtocolSpec.fixed_tmbl(1).distill_policy.value == "none"
     assert [p.value for p in entnet.LeftoverPolicy] == ["none", "discard", "keep"]
+
+
+def test_estimate_method_labels():
+    # bench/workloads.py spells `en.DistillMethod.MONTE_CARLO`, and the
+    # tracer labels spans by these values
+    assert entnet.DistillMethod is entnet.EstimateMethod
+    assert entnet.EstimateMethod.CLOSED_FORM.value == "closed_form"
+    assert entnet.EstimateMethod.TRUNCATED_SERIES.value == "truncated_series"
+    assert entnet.EstimateMethod.MONTE_CARLO.value == "monte_carlo"

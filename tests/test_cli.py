@@ -71,6 +71,19 @@ class TestBasics:
         row = text.strip().splitlines()[-1].split(",")
         assert (row[5], row[6]) == ("series", "0.0646239617193")
 
+    @pytest.mark.parametrize("f, label", [("0.9", "enumeration"), ("1.0", "closed")])
+    def test_method_column_names_what_ran(self, tmp_path, f, label):
+        # `--method series` names the vtmbl series; the fixed block ran no series
+        code, text = run_to_file(
+            tmp_path, "m.csv",
+            ["protocol-sweep", "--protocol", "ftmbl", "--s", "5", "--p", "0.5", "--f", f,
+             "--k", "2", "--method", "series"],
+        )
+        assert code == 0
+        meta, _, row = text.strip().splitlines()
+        assert "method=series" in meta.split()  # the metadata line echoes the request
+        assert row.split(",")[5] == label
+
     def test_vtmbl_monte_carlo_at_tiny_p(self, tmp_path):
         # the wait lasts about 23,000 slots; the sampler never steps through them
         code, text = run_to_file(
@@ -149,9 +162,10 @@ class TestExitCodes:
             ["measure-cfi", "--s", "3", "--partition", "-", "--f", "inf", "--max"],
             ["protocol-sweep", "--protocol", "ftmbl", "--p", "0.5", "--method", "mc",
              "--trials", "1", "--seed", "3"],
+            ["reproduce", "fig2", "--threads", "1"],
         ],
         ids=["links-and-p-k", "links-and-p", "links-and-k", "snapshot-f-nan",
-             "measure-f-inf", "one-trial"],
+             "measure-f-inf", "one-trial", "reproduce-threads"],
     )
     def test_unread_or_invalid_flags_are_rejected(self, capsys, argv):
         assert run_subcommand(argv) == 2
@@ -188,12 +202,6 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_reproduce_fig2_thread_independent(self, tmp_path):
-        _, a = run_to_file(tmp_path, "a.csv", ["reproduce", "fig2", "--threads", "1"])
-        _, b = run_to_file(tmp_path, "b.csv", ["reproduce", "fig2", "--threads", "4"])
-        assert a == b
-        assert len(a.splitlines()) == 2 + 5 * 51
-
     def test_mc_sweep_thread_independent(self, tmp_path):
         argv = ["protocol-sweep", "--protocol", "ftmbl", "--s", "5", "--p", "0.5",
                 "--f", "1.0", "--k", "2", "--method", "mc", "--trials", "100000",
@@ -235,6 +243,11 @@ class TestReproduceSchemas:
         code, text = run_to_file(tmp_path, f"{rid}.csv", ["reproduce", rid])
         assert code == 0
         assert text.splitlines()[1] == header
+
+    def test_fig2_row_count(self, tmp_path):
+        code, text = run_to_file(tmp_path, "fig2.csv", ["reproduce", "fig2"])
+        assert code == 0
+        assert len(text.splitlines()) == 2 + 5 * 51
 
     def test_table2_matches_published_grid(self, tmp_path):
         code, text = run_to_file(tmp_path, "t2.csv", ["reproduce", "table2"])

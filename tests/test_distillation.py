@@ -11,6 +11,7 @@ import pytest
 from entnet import (
     DistillMethod,
     EigenSpec,
+    EstimateMethod,
     FidelityDistribution,
     LeftoverPolicy,
     NetworkConfig,
@@ -239,6 +240,21 @@ class TestDistilledAverage:
                 cfg, 3, policy, method=DistillMethod.MONTE_CARLO, trials=100_000, seed=21
             )
             assert (a.mean, a.std_error) == (b.mean, b.std_error)
+
+    @pytest.mark.parametrize("method", [EstimateMethod.ENUMERATION, EstimateMethod.MONTE_CARLO])
+    def test_policy_none_is_rejected(self, method):
+        # a NONE spec would otherwise reach the undistilled Monte Carlo sampler
+        with pytest.raises(ValueError, match="NONE"):
+            ftmbl_distilled_avg_qfi(NetworkConfig(5, 0.5, 0.9), 3, LeftoverPolicy.NONE,
+                                    method=method, trials=1000, seed=1)
+
+    def test_rejects_other_methods_and_a_missing_seed(self):
+        cfg = NetworkConfig(5, 0.5, 0.9)
+        for method in (EstimateMethod.CLOSED_FORM, EstimateMethod.TRUNCATED_SERIES):
+            with pytest.raises(ValueError, match=method.name):
+                ftmbl_distilled_avg_qfi(cfg, 3, method=method)
+        with pytest.raises(ValueError, match="seed"):
+            ftmbl_distilled_avg_qfi(cfg, 3, method=EstimateMethod.MONTE_CARLO)
 
     def test_beats_undistilled_at_same_block(self):
         for k in (2, 3):

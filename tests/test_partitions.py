@@ -49,6 +49,17 @@ def summed_gain(fids, groups):
                for g in groups)
 
 
+@st.composite
+def two_link_groups(draw):
+    """Groups A and B of 2..30 links above F=1/2: fidelities uniform, near 1,
+    or drawn from a pool of three values."""
+    usable = st.floats(0.5, 1.0, exclude_min=True)
+    pool = st.sampled_from(draw(st.lists(usable, min_size=3, max_size=3)))
+    group = st.lists(draw(st.sampled_from([usable, st.floats(0.95, 1.0), pool])),
+                     min_size=2, max_size=30)
+    return draw(group), draw(group)
+
+
 def brute_force_mixed(fids, sensors):
     """Canonical group_members of the documented winner, by enumeration.
 
@@ -282,6 +293,20 @@ class TestOptimalPartitionMixed:
                    for blocks in set_partitions(list(range(len(fids)))))
         got = summed_gain(fids, optimal_partition_mixed(fids, max(len(fids), 1)).group_members)
         assert got == pytest.approx(best, rel=1e-12, abs=0.0)
+
+    @settings(derandomize=True, deadline=1000, max_examples=200)
+    @given(two_link_groups())
+    def test_sorted_split_never_loses_gain(self, groups):
+        # Pairwise uncrossing, the step toward proving that runs suffice:
+        # regrouping A and B so that one takes the top |A| (or |B|) links
+        # of A+B gains at least as much, to 1e-12 of the gains compared.
+        a, b = groups
+        fids = a + b
+        crossed = [range(len(a)), range(len(a), len(fids))]
+        ranked = sorted(range(len(fids)), key=lambda i: -fids[i])
+        split = max(summed_gain(fids, [ranked[:n], ranked[n:]]) for n in (len(a), len(b)))
+        scale = sum(abs(summed_gain(fids, [g])) for g in crossed)
+        assert split >= summed_gain(fids, crossed) - 1e-12 * scale
 
     def test_rejects_zero_sensors(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from entnet import (
+    AvgQfiEstimate,
     EigenSpec,
     EstimateMethod,
     GhzPartition,
@@ -21,6 +22,7 @@ from entnet import (
     monte_carlo_avg_qfi,
     qfi_upper_bound,
     best_group_sizes,
+    ftmbl_distilled_avg_qfi,
     snapshot_distribution,
     snapshot_qfi_uniform,
     vtmbl_avg_qfi,
@@ -202,6 +204,15 @@ class TestVtmblJointProb:
         with pytest.raises(ValueError):
             vtmbl_joint_prob(5, 0.5, 3, 1, 2)
 
+    def test_first_slot_is_the_binomial_pmf(self):
+        # one scalar pmf serves both, so the floats agree exactly
+        for sensors in (2, 5, 13, 40):
+            for p in (1e-3, 0.1, 0.37, 0.5, 0.9, 1.0):
+                pmf = snapshot_distribution(sensors, p)
+                for mu in (2, sensors):
+                    for m in range(mu, sensors + 1):
+                        assert vtmbl_joint_prob(sensors, p, mu, 1, m) == pmf[m], (sensors, p, m)
+
 
 class TestVtmblAvgQfi:
     def test_closed_form_matches_series(self):
@@ -226,8 +237,13 @@ class TestVtmblAvgQfi:
     def test_monte_carlo_agreement(self):
         cfg = NetworkConfig(5, 0.3)
         series = vtmbl_avg_qfi(cfg, 3).mean
-        mc = vtmbl_avg_qfi(cfg, 3, EstimateMethod.MONTE_CARLO, trials=200_000, seed=99)
+        mc = monte_carlo_avg_qfi(cfg, ProtocolSpec.variable_tmbl(3), trials=200_000, seed=99)
         assert abs(mc.mean - series) < 3 * mc.std_error
+
+    @pytest.mark.parametrize("method", [EstimateMethod.MONTE_CARLO, EstimateMethod.ENUMERATION])
+    def test_rejects_non_analytic_methods(self, method):
+        with pytest.raises(ValueError, match="monte_carlo_avg_qfi"):
+            vtmbl_avg_qfi(NetworkConfig(5, 0.3), 3, method)
 
     def test_rejects_imperfect_links_for_analytic_methods(self):
         with pytest.raises(ValueError):
@@ -320,10 +336,10 @@ class TestMonteCarlo:
         assert est.std_error == 0.0
 
     def test_std_error_matches_two_pass_reference(self, monkeypatch):
-        # two distinct trial values; sum-of-squares pooling is wrong here
-        # from the 7th digit
+        # two distinct trial values, 246 trials off the maximum; pooling
+        # sums of squares instead is off here by 9e-12 relative
         est, values = trial_values(monkeypatch, lambda: monte_carlo_avg_qfi(
-            NetworkConfig(10, 0.99, 0.97), ProtocolSpec.fixed_tmbl(3),
+            NetworkConfig(10, 0.95, 0.97), ProtocolSpec.fixed_tmbl(3),
             trials=200_000, seed=11, threads=1))
         assert values.size == 200_000 and len(np.unique(values)) > 1
         mean = math.fsum(values) / values.size
@@ -466,6 +482,17 @@ class TestUpperBound:
         assert qfi_upper_bound(5, 0.5) == pytest.approx(0.6, abs=1e-15)
         assert qfi_upper_bound(5, 1.0) == pytest.approx(1.0, abs=1e-15)
 
+    def test_waiting_protocol_exceeds_it_at_two_sensors(self):
+        # the waiting protocol averages ((T-1) local + h(M)) / T, and at S=2
+        # E[1/T] > p; Monte Carlo confirms the series, not the bound
+        cfg = NetworkConfig(2, 0.3)
+        series = vtmbl_avg_qfi(cfg, 2).mean
+        assert series == pytest.approx(0.665574342, abs=1e-9)
+        assert qfi_upper_bound(2, 0.3) == pytest.approx(0.65, abs=1e-15)
+        assert series > qfi_upper_bound(2, 0.3)
+        mc = monte_carlo_avg_qfi(cfg, ProtocolSpec.variable_tmbl(2), trials=1 << 20, seed=99)
+        assert abs(mc.mean - series) < 4 * mc.std_error
+
     def test_bounds_all_protocols(self):
         # with perfect links every average lies in [1/S, bound]
         for sensors in (5, 10):
@@ -481,6 +508,43 @@ class TestUpperBound:
                 ]
                 for value in values:
                     assert local - 1e-12 <= value <= bound + 1e-12
+
+
+PERFECT = NetworkConfig(5, 0.4)
+IMPERFECT = NetworkConfig(5, 0.4, 0.9)
+SAMPLED = dict(trials=1000, seed=1)
+
+
+class TestEstimateLabels:
+    @pytest.mark.parametrize("evaluate, method", [
+        (lambda: ftmbl_avg_qfi(PERFECT, 3), EstimateMethod.CLOSED_FORM),
+        (lambda: immediate_avg_qfi(PERFECT), EstimateMethod.CLOSED_FORM),
+        (lambda: ftmbl_avg_qfi(IMPERFECT, 3), EstimateMethod.ENUMERATION),
+        (lambda: ftmbl_avg_qfi(PERFECT, 3, PartitionPolicy.OPTIMAL), EstimateMethod.ENUMERATION),
+        (lambda: immediate_avg_qfi(IMPERFECT), EstimateMethod.ENUMERATION),
+        (lambda: vtmbl_avg_qfi(PERFECT, 3), EstimateMethod.TRUNCATED_SERIES),
+        (lambda: vtmbl_avg_qfi(PERFECT, 3, EstimateMethod.CLOSED_FORM), EstimateMethod.CLOSED_FORM),
+        (lambda: vtmbl_avg_qfi(PERFECT, 1), EstimateMethod.CLOSED_FORM),
+        (lambda: ftmbl_distilled_avg_qfi(IMPERFECT, 3), EstimateMethod.ENUMERATION),
+        (lambda: monte_carlo_avg_qfi(IMPERFECT, ProtocolSpec.fixed_tmbl(3), **SAMPLED),
+         EstimateMethod.MONTE_CARLO),
+        (lambda: monte_carlo_avg_qfi(PERFECT, ProtocolSpec.variable_tmbl(3), **SAMPLED),
+         EstimateMethod.MONTE_CARLO),
+        (lambda: monte_carlo_avg_qfi(
+            IMPERFECT, ProtocolSpec.fixed_tmbl(3, LeftoverPolicy.KEEP), **SAMPLED),
+         EstimateMethod.MONTE_CARLO),
+        (lambda: ftmbl_distilled_avg_qfi(
+            IMPERFECT, 3, method=EstimateMethod.MONTE_CARLO, **SAMPLED),
+         EstimateMethod.MONTE_CARLO),
+    ], ids=["ftmbl-closed", "immediate-closed", "ftmbl-imperfect", "ftmbl-optimal",
+            "immediate-imperfect", "vtmbl-series", "vtmbl-closed", "vtmbl-mu1",
+            "distilled-enum", "mc-block", "mc-waiting", "mc-distilled", "distilled-mc"])
+    def test_method_names_what_ran(self, evaluate, method):
+        assert evaluate().method is method
+
+    def test_method_has_no_default(self):
+        with pytest.raises(TypeError):
+            AvgQfiEstimate(mean=0.5)
 
 
 class TestProtocolSpec:
